@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from ..domain.concrete import DEFAULT_DEPTH
 from ..domain.lattice import Tree
@@ -139,6 +139,11 @@ def parse_entry_spec(spec: Union[str, Term, EntrySpec]) -> EntrySpec:
     return EntrySpec(indicator, canonicalize(Pattern(nodes)))
 
 
+#: A known summary to plant before the first pass:
+#: (indicator, calling, success, may_share).
+Seed = Tuple[Indicator, Pattern, Optional[Pattern], FrozenSet[Tuple[int, int]]]
+
+
 #: Cap on table entries embedded per ``table_state`` event — a runaway
 #: table must not turn the trace file into the bottleneck.
 STATE_DUMP_MAX_ENTRIES = 200
@@ -189,6 +194,12 @@ class EntryReport:
     status: str = STATUS_EXACT
     iterations: int = 0
     reason: Optional[str] = None
+    #: Entries planted before the first pass, from a resumed checkpoint
+    #: and from seeds, and entries the restriction to the final pass
+    #: dropped (see :meth:`Analyzer.analyze`).  Not part of ``to_dict``.
+    resumed: int = 0
+    seeded: int = 0
+    dropped: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -269,95 +280,18 @@ class Analyzer:
         #: docs/tracing.md).  0 — the default — adds nothing to the hot
         #: path beyond the existing tracer None checks.
         self.trace_states = trace_states
-        self._state_dumper: Optional[_StateDumper] = None
-
-    # ------------------------------------------------------------------
-    # Fine-grained entry points (used by the repro.serve scheduler).
-
-    def reset_state_dumps(self) -> None:
-        """Re-arm the per-run state-dump budget (start of an analyze)."""
-        self._state_dumper = (
-            _StateDumper(self.trace_states)
-            if self.tracer is not None and self.trace_states > 0
-            else None
-        )
-
-    def _dump_state(self, table: ExtensionTable, **attrs) -> None:
-        if self._state_dumper is not None and self.tracer is not None:
-            self._state_dumper.dump(self.tracer, table, **attrs)
-
-    def machine_for(
-        self,
-        table: ExtensionTable,
-        budget: Optional[Budget] = None,
-        fault_plan=None,
-    ) -> AbstractMachine:
-        """An abstract machine over ``table`` with this analyzer's knobs."""
-        return AbstractMachine(
-            self.compiled, table, depth=self.depth,
-            list_aware=self.list_aware, subsumption=self.subsumption,
-            on_undefined=self.on_undefined,
-            budget=budget, fault_plan=fault_plan,
-            metrics=self.metrics,
-        )
-
-    def pattern_fixpoint(
-        self,
-        machine: AbstractMachine,
-        indicator: Indicator,
-        pattern: Pattern,
-        budget: Optional[Budget] = None,
-        fault_plan=None,
-        on_pass=None,
-    ) -> int:
-        """Iterate one calling pattern to a local fixpoint.
-
-        This is the per-SCC entry point: the serve scheduler stabilizes
-        each strongly connected component bottom-up by iterating its
-        calling patterns here, with the callee components' summaries
-        already frozen in the machine's table.  Returns the number of
-        passes run; charges ``budget`` one iteration per pass.
-        ``on_pass`` (if given) is called with no arguments after every
-        completed pass — the checkpoint trigger hook.
-        """
-        table = machine.table
-        iterations = 0
-        while True:
-            if fault_plan is not None and fault_plan.watches("iteration"):
-                fault_plan.fire("iteration")
-            if budget is not None:
-                budget.charge_iteration()
-            iterations += 1
-            if self.metrics is not None:
-                self.metrics.counter("analysis.iterations").inc()
-            if self.tracer is not None:
-                self.tracer.event(
-                    "fixpoint_iteration",
-                    pattern=f"{indicator[0]}/{indicator[1]}{pattern}",
-                    pass_number=iterations,
-                )
-            before = table.changes
-            machine.run_pattern(indicator, pattern)
-            if self.tracer is not None:
-                self._dump_state(
-                    table,
-                    pattern=f"{indicator[0]}/{indicator[1]}{pattern}",
-                    pass_number=iterations,
-                )
-            if on_pass is not None:
-                on_pass()
-            if table.changes == before:
-                return iterations
 
     def analyze(
         self,
         entries: Sequence[Union[str, Term, EntrySpec]],
         checkpoint=None,
         resume: Optional[dict] = None,
+        seeds: Sequence[Seed] = (),
     ) -> AnalysisResult:
         """Run the fixpoint analysis from the given entry patterns.
 
-        ``checkpoint`` is an optional
+        Each entry spec is re-run until a whole pass leaves its table
+        unchanged.  ``checkpoint`` is an optional
         :class:`~repro.robust.checkpoint.CheckpointPolicy`: it is
         notified after every fixpoint pass (snapshotting on its cadence)
         and flushed with the pre-widening table when a spec degrades, so
@@ -365,12 +299,19 @@ class Analyzer:
 
         ``resume`` is an optional checkpoint snapshot dict (already
         validated with :func:`repro.robust.checkpoint.load` — the
-        *caller* owns matching it against this program/config/entries).
-        Its entries are planted unfrozen into every spec's table — seed
-        plus thaw in one step — which restarts the Kleene iteration from
-        the recorded intermediate iterate.  Intermediate iterates are ⊑
-        the least fixpoint, so the resumed run converges to exactly the
-        result a from-scratch run produces, in fewer passes.
+        *caller* owns matching it against this program/config/entries),
+        and ``seeds`` are known summaries (the service's cached results
+        for unchanged call-graph components).  Both are planted into
+        every spec's table as ordinary initial contents — resume first,
+        so cache data wins ties — and the passes re-explore them like
+        any other entry.  A planted summary below the fixpoint is
+        raised to it, so resuming an intermediate iterate converges to
+        exactly the from-scratch result in fewer passes.  A planted
+        summary *above* the fixpoint survives, sound but coarser: exact
+        answers rest on the validity of what is planted, not on this
+        loop.  When anything was planted, the spec's table is finally
+        restricted to the entries its last pass explored, so summaries
+        the program no longer reaches never appear in the result.
         """
         specs = [parse_entry_spec(entry) for entry in entries]
         if not specs:
@@ -389,17 +330,24 @@ class Analyzer:
         started = time.perf_counter()
         metrics = self.metrics
         tracer = self.tracer
-        self.reset_state_dumps()
+        dumper = (
+            _StateDumper(self.trace_states)
+            if tracer is not None and self.trace_states > 0
+            else None
+        )
         for spec in specs:
             spec_table = ExtensionTable(
                 budget=budget, fault_plan=plan, metrics=metrics
             )
+            report = EntryReport(spec)
             if resume is not None:
                 from ..robust.checkpoint import plant
 
-                plant(
-                    resume, spec_table, respect_frozen=False, metrics=metrics
-                )
+                report.resumed = plant(resume, spec_table, metrics=metrics)
+            for indicator, calling, success, may_share in seeds:
+                spec_table.seed(indicator, calling, success, may_share)
+            report.seeded = len(seeds)
+            planted = report.resumed + report.seeded
             machine = AbstractMachine(
                 self.compiled, spec_table, depth=self.depth,
                 list_aware=self.list_aware, subsumption=self.subsumption,
@@ -407,10 +355,10 @@ class Analyzer:
                 budget=budget, fault_plan=plan,
                 metrics=metrics,
             )
-            report = EntryReport(spec)
             spec_started = time.perf_counter()
             if tracer is not None:
-                tracer.begin("entry_spec", spec=str(spec))
+                span_attrs = {"seeds": report.seeded} if seeds else {}
+                tracer.begin("entry_spec", spec=str(spec), **span_attrs)
             try:
                 while True:
                     if plan is not None and plan.watches("iteration"):
@@ -426,9 +374,9 @@ class Analyzer:
                         )
                     before = spec_table.changes
                     machine.run_pattern(spec.indicator, spec.pattern)
-                    if tracer is not None:
-                        self._dump_state(
-                            spec_table,
+                    if dumper is not None:
+                        dumper.dump(
+                            tracer, spec_table,
                             pattern=str(spec),
                             pass_number=report.iterations,
                         )
@@ -469,9 +417,17 @@ class Analyzer:
                 # interrupted exploration left may under-approximate, so
                 # widen everything this spec touched to ⊤ — including
                 # the entry's own pattern, materialized if need be.
+                # Planted entries the run never reached are dropped
+                # first: widening them would claim facts nothing asked.
                 spec_table.disarm()
+                if planted:
+                    spec_table.drop_unexplored(since=1)
                 spec_table.entry(spec.indicator, spec.pattern)
                 spec_table.widen_to_top(report.status)
+            elif planted:
+                report.dropped = spec_table.drop_unexplored(
+                    since=machine.iteration
+                )
             table.merge(spec_table)
             iterations += report.iterations
             instructions += machine.instruction_count

@@ -243,12 +243,11 @@ class AbstractMachine(Machine):
                 f"call {format_indicator(indicator)}{calling}"
             )
         existing = self.table.find(indicator, calling)
-        if existing is not None and (
-            existing.frozen or existing.explored_iteration == self.iteration
+        if (
+            existing is not None
+            and existing.explored_iteration == self.iteration
         ):
-            # Already explored (or in progress) in this iteration — or a
-            # frozen summary, known final (seeded from the result store or
-            # stabilized by the SCC scheduler; see repro.serve): return
+            # Already explored (or in progress) in this iteration: return
             # the recorded summary, or fail if none is known yet.
             if self.tracer is not None:
                 summary = existing.success if existing.success else "no success yet"
@@ -315,7 +314,7 @@ class AbstractMachine(Machine):
         """An explored entry whose calling pattern covers ``calling``."""
         best = None
         for entry in self.table.entries_for(indicator):
-            if not entry.frozen and entry.explored_iteration != self.iteration:
+            if entry.explored_iteration != self.iteration:
                 continue
             if entry.calling == calling:
                 continue

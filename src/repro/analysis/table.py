@@ -43,11 +43,6 @@ class TableEntry:
     #: "exact" normally; "degraded" once widened to ⊤ after an
     #: interrupted exploration (see repro.robust).
     status: str = "exact"
-    #: Frozen entries are known-final summaries (seeded from the result
-    #: store or stabilized bottom-up by the SCC scheduler): the abstract
-    #: machine treats them as explored in *every* pass and never re-runs
-    #: their clauses.  Normal runs never set this (see repro.serve).
-    frozen: bool = False
 
 
 class ExtensionTable:
@@ -68,10 +63,6 @@ class ExtensionTable:
         self.budget = budget
         #: Optional repro.robust.FaultPlan fired on every update.
         self.fault_plan = fault_plan
-        #: When a set, every key that ``find`` hits or ``entry`` touches
-        #: is recorded — the reachability trace used by
-        #: :meth:`restrict_to` (see repro.serve.scheduler).
-        self.touched: Optional[set] = None
         #: repro.obs: the hot-site counters are bound once here, so the
         #: per-lookup cost with metrics on is one attribute increment.
         #: With metrics off (the default) each site is one None check.
@@ -82,8 +73,6 @@ class ExtensionTable:
             self._m_updates = metrics.counter("table.updates")
             self._m_widenings = metrics.counter("table.widenings")
             self._m_created = metrics.counter("table.entries.created")
-            self._m_frozen = metrics.counter("table.entries.frozen")
-            self._m_thawed = metrics.counter("table.entries.thawed")
         else:
             self._m_lookups = None
             self._m_hits = None
@@ -91,8 +80,6 @@ class ExtensionTable:
             self._m_updates = None
             self._m_widenings = None
             self._m_created = None
-            self._m_frozen = None
-            self._m_thawed = None
 
     def disarm(self) -> None:
         """Drop the governor hooks (used before sound widening, which
@@ -115,8 +102,6 @@ class ExtensionTable:
             self.changes += 1
             if self._m_created is not None:
                 self._m_created.inc()
-        if self.touched is not None:
-            self.touched.add((indicator, calling))
         return entry
 
     def find(self, indicator: Indicator, calling: Pattern) -> Optional[TableEntry]:
@@ -126,8 +111,6 @@ class ExtensionTable:
         if self._m_lookups is not None:
             self._m_lookups.inc()
             (self._m_misses if entry is None else self._m_hits).inc()
-        if entry is not None and self.touched is not None:
-            self.touched.add((indicator, calling))
         return entry
 
     def update(
@@ -213,9 +196,8 @@ class ExtensionTable:
         self.widenings += other.widenings
 
     # ------------------------------------------------------------------
-    # Serving: seeding from cached summaries, freezing, reachability.
-    # (Used by repro.serve; a table never seeded behaves exactly as
-    # before — frozen stays False and touched stays None.)
+    # Planting known summaries (cache seeds, resumed checkpoints) and
+    # dropping what the final pass no longer reaches.
 
     def seed(
         self,
@@ -223,10 +205,8 @@ class ExtensionTable:
         calling: Pattern,
         success: Optional[Pattern],
         may_share: FrozenSet[Tuple[int, int]] = frozenset(),
-        status: str = "exact",
-        frozen: bool = True,
     ) -> TableEntry:
-        """Install a known-final summary (a cache hit) as a frozen entry.
+        """Install a known summary as an ordinary, not yet explored entry.
 
         Seeding bypasses the governor hooks: reusing a cached result
         must never trip a budget.  The ``changes`` counter still
@@ -242,44 +222,23 @@ class ExtensionTable:
             self.changes += 1
         entry.success = success
         entry.may_share = may_share
-        entry.status = status
-        if frozen and not entry.frozen and self._m_frozen is not None:
-            self._m_frozen.inc()
-        entry.frozen = frozen
+        entry.status = "exact"
         return entry
 
-    def freeze(self, entry: TableEntry) -> None:
-        """Mark one entry as a known-final summary."""
-        if not entry.frozen:
-            entry.frozen = True
-            if self._m_frozen is not None:
-                self._m_frozen.inc()
+    def drop_unexplored(self, since: int) -> int:
+        """Drop every entry last explored before pass ``since``; returns
+        how many were dropped.
 
-    def thaw(self) -> None:
-        """Clear every frozen mark (before a full verification sweep)."""
-        for _, entry in self.all_entries():
-            if entry.frozen:
-                entry.frozen = False
-                if self._m_thawed is not None:
-                    self._m_thawed.inc()
-
-    def begin_touch_trace(self) -> set:
-        """Start recording touched keys; returns the live set."""
-        self.touched = set()
-        return self.touched
-
-    def end_touch_trace(self) -> None:
-        self.touched = None
-
-    def restrict_to(self, keys) -> int:
-        """Drop every entry whose (indicator, calling) is not in ``keys``;
-        returns how many entries were dropped.  Used to discard seeded
-        summaries that the current program version no longer reaches."""
+        A pass explores each entry it reaches exactly once, so after a
+        run's final pass this keeps exactly that pass's reach: planted
+        summaries the program no longer reaches (and transient patterns
+        of earlier passes) go.  ``since=1`` drops only the planted
+        entries no pass ever reached."""
         dropped = 0
         for indicator in list(self._entries):
             by_pattern = self._entries[indicator]
             for calling in list(by_pattern):
-                if (indicator, calling) not in keys:
+                if by_pattern[calling].explored_iteration < since:
                     del by_pattern[calling]
                     dropped += 1
             if not by_pattern:
@@ -313,8 +272,8 @@ class ExtensionTable:
     def state_dump(self, max_entries: Optional[int] = None) -> dict:
         """A JSON-safe snapshot of the table for trace state dumps.
 
-        One dict per entry (key, calling, success, status, updates,
-        frozen) plus the aggregate counters; ``truncated`` appears when
+        One dict per entry (key, calling, success, status, updates)
+        plus the aggregate counters; ``truncated`` appears when
         ``max_entries`` cut the listing.  Used by the ``--trace-states``
         time-travel view (docs/tracing.md) — never on the default path.
         """
@@ -332,7 +291,6 @@ class ExtensionTable:
                 ),
                 "status": entry.status,
                 "updates": entry.updates,
-                "frozen": entry.frozen,
             })
         dump = {
             "entries": entries,

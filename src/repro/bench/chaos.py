@@ -564,26 +564,20 @@ class _SimulatedKill(Exception):
     boundary and only already-emitted snapshots remain."""
 
 
-def _scheduled_attempt(
+def _analysis_attempt(
     benchmark,
     resume: Optional[dict] = None,
     kill_at: Optional[int] = None,
     sink=None,
     checkpoint_every: Optional[int] = 1,
 ):
-    """One SCC-scheduled analysis attempt under the resume campaign.
+    """One analysis attempt under the resume campaign.
 
     Returns ``(result, passes_run)``; raises :class:`_SimulatedKill`
     when ``kill_at`` passes complete first.  Snapshots go to ``sink``.
     """
-    from ..analysis.driver import parse_entry_spec
     from ..robust import checkpoint as ckpt
-    from ..serve.callgraph import CallGraph
-    from ..serve.scheduler import SCCScheduler
 
-    analyzer = Analyzer(Program.from_text(benchmark.source))
-    graph = CallGraph.from_compiled(analyzer.compiled)
-    scheduler = SCCScheduler(analyzer, graph)
     passes = {"n": 0}
 
     def on_pass(number: int) -> None:
@@ -603,113 +597,123 @@ def _scheduled_attempt(
             base_iterations=ckpt.cursor_iterations(resume) if resume else 0,
             on_pass=on_pass,
         )
-    result, _ = scheduler.analyze(
-        [parse_entry_spec(benchmark.entry)],
-        checkpoint=policy,
-        resume=resume,
-        on_budget="raise",
+    result = Analyzer(Program.from_text(benchmark.source)).analyze(
+        [benchmark.entry], checkpoint=policy, resume=resume
     )
     return result, passes["n"]
 
 
+def resume_benchmark(benchmark, kill_every: int = 1, max_attempts: int = 40):
+    """Kill one benchmark's analysis on every ``kill_every``-th pass
+    boundary until checkpointed restarts carry it to completion.
+
+    Each retry resumes from the surviving snapshot with the furthest
+    cursor.  Before each retry a side-effect-free completion probe
+    measures how many passes the chain still has to (re-)execute from
+    that snapshot.  When the probe stops shrinking, the remaining work
+    fits no kill interval this short — the final, confirming pass
+    always dies with it — so the interval doubles for the next attempt,
+    as a deployment would have to slow its crash cadence for the
+    analysis to ever finish.  Returns ``(report, result)``: ``result``
+    is the completed analysis (None if ``max_attempts`` ran out), and
+    ``report["status"]`` is ``"exact"`` only when it equals the
+    from-scratch ``stable_dict``.
+    """
+    from ..robust import checkpoint as ckpt
+
+    reference, scratch_passes = _analysis_attempt(benchmark)
+    best: Optional[dict] = None
+    m = kill_every
+    attempts = 0
+    result = None
+    status = None
+    kill_schedule: List[int] = []
+    reexecuted: List[int] = []
+    while attempts < max_attempts:
+        attempts += 1
+        kill_schedule.append(m)
+        emitted: List[dict] = []
+        try:
+            result, passes = _analysis_attempt(
+                benchmark, resume=best, kill_at=m, sink=emitted.append
+            )
+        except _SimulatedKill:
+            # Only snapshots emitted before the kill survive; keep the
+            # furthest one, exactly as the service's store sink and the
+            # supervisor's wire retention do.
+            best = max([best, *emitted], key=ckpt.cursor_iterations)
+            _, probe = _analysis_attempt(benchmark, resume=best)
+            if probe >= (reexecuted[-1] if reexecuted else scratch_passes):
+                m *= 2
+            reexecuted.append(probe)
+            continue
+        reexecuted.append(passes)
+        status = (
+            "exact"
+            if result.stable_dict() == reference.stable_dict()
+            else "mismatch"
+        )
+        break
+    report = {
+        "name": benchmark.name,
+        "scratch_passes": scratch_passes,
+        "attempts": attempts,
+        "status": status,
+        "kill_schedule": kill_schedule,
+        "reexecuted_iterations": reexecuted,
+    }
+    return report, result
+
+
 def run_resume(
-    kill_every: int = 4,
+    kill_every: int = 1,
     max_attempts: int = 40,
-    overhead_rounds: int = 5,
+    overhead_rounds: int = 40,
     overhead_limit_pct: float = 5.0,
 ) -> dict:
     """Kill-every-m campaign over *every* benchmark, plus the resume
     system's side gates.  Raises SystemExit on any violation.
 
-    **Main leg** (in-process, all benchmarks): the analysis is killed on
-    every ``kill_every``-th fixpoint pass boundary; each retry resumes
-    from the best-ranked surviving snapshot.  Asserted per benchmark:
+    **Main leg** (in-process, all benchmarks, :func:`resume_benchmark`):
+    the analysis is killed on every ``kill_every``-th fixpoint pass
+    boundary; each retry resumes from the furthest surviving snapshot.
+    Asserted per benchmark:
 
     * eventual **exact completion** within ``max_attempts``;
     * the resumed result equals the from-scratch ``stable_dict`` —
       byte-identical canonical table;
-    * the **re-executed iteration count shrinks monotonically**: before
-      each retry a side-effect-free completion probe measures how many
-      passes the chain still has to (re-)execute from the snapshot it
-      will resume from; that series must be non-increasing.
+    * the **re-executed iteration count shrinks monotonically**: the
+      completion probes before each retry, then the completing
+      attempt's passes, form a non-increasing series.
 
-    Forward progress is banked at component-stabilization granularity
-    (frozen entries); when one component needs more passes than the kill
-    interval allows, the frontier stalls and the campaign doubles the
-    interval for the next attempt — mirroring how a deployment would
-    have to slow its crash cadence for the analysis to ever finish.
-    The ``kill_schedule`` in the report records every escalation.
+    The ``kill_schedule`` in the report records every doubling of the
+    kill interval.
 
     **Wire leg**: two benchmarks through a real :class:`Supervisor` —
-    the worker SIGKILLs itself mid-fixpoint (``kill_at_iteration``
-    chaos), the retry resumes from the snapshot shipped up the wire.
+    the worker SIGKILLs itself after its first fixpoint pass
+    (``kill_at_iteration`` chaos), the retry resumes from the snapshot
+    shipped up the wire.
 
     **Crash-loop leg**: a worker killed on receipt (no fixpoint
     progress possible) must be quarantined with a structured
     ``crash-loop`` error after the containment threshold, and an
     ``invalidate`` must lift the quarantine.
 
-    **Overhead leg**: scheduler wall clock with the *default* checkpoint
+    **Overhead leg**: analysis wall clock with the *default* checkpoint
     cadence versus no checkpointing, min-over-rounds; the relative
     overhead must stay under ``overhead_limit_pct``.
     """
-    from ..robust import checkpoint as ckpt
-
     violations: List[str] = []
     benchmarks_report: List[dict] = []
     for benchmark in BENCHMARKS:
-        reference, scratch_passes = _scheduled_attempt(benchmark)
-        reference_stable = reference.stable_dict()
-        best: Optional[dict] = None
-        m = kill_every
-        attempts = 0
-        status = None
-        kill_schedule: List[int] = []
-        reexecuted: List[int] = []
-        frontier: List[int] = []
-        while attempts < max_attempts:
-            attempts += 1
-            kill_schedule.append(m)
-            emitted: List[dict] = []
-            frozen_before = ckpt.frozen_entries(best)
-            try:
-                result, passes = _scheduled_attempt(
-                    benchmark, resume=best, kill_at=m, sink=emitted.append
-                )
-            except _SimulatedKill:
-                # Only snapshots emitted before the kill survive; keep
-                # the best-ranked one, exactly as the service's store
-                # sink and the supervisor's wire retention do.
-                for snap in emitted:
-                    if ckpt.snapshot_rank(snap) >= ckpt.snapshot_rank(best):
-                        best = snap
-                frozen_now = ckpt.frozen_entries(best)
-                frontier.append(frozen_now)
-                # The completion probe: how much work would a retry
-                # still (re-)execute from here?  Side-effect-free.
-                _, probe = _scheduled_attempt(benchmark, resume=best)
-                reexecuted.append(probe)
-                if frozen_now <= frozen_before:
-                    # The in-flight component needs more than m passes:
-                    # no kill cadence this fast can ever finish it, so
-                    # escalate (documented forward-progress granularity).
-                    m *= 2
-                continue
-            for snap in emitted:
-                if ckpt.snapshot_rank(snap) >= ckpt.snapshot_rank(best):
-                    best = snap
-            frontier.append(ckpt.frozen_entries(best))
-            reexecuted.append(passes)
-            status = (
-                "exact"
-                if result.stable_dict() == reference_stable
-                else "mismatch"
-            )
-            break
+        report, _ = resume_benchmark(benchmark, kill_every, max_attempts)
+        status = report["status"]
+        reexecuted = report["reexecuted_iterations"]
         if status != "exact":
             violations.append(
                 f"resume: {benchmark.name}: status {status!r} after "
-                f"{attempts} attempts (kill schedule {kill_schedule})"
+                f"{report['attempts']} attempts (kill schedule "
+                f"{report['kill_schedule']})"
             )
         if any(
             reexecuted[index + 1] > reexecuted[index]
@@ -719,15 +723,7 @@ def run_resume(
                 f"resume: {benchmark.name}: re-executed iterations grew "
                 f"between attempts: {reexecuted}"
             )
-        benchmarks_report.append({
-            "name": benchmark.name,
-            "scratch_passes": scratch_passes,
-            "attempts": attempts,
-            "status": status,
-            "kill_schedule": kill_schedule,
-            "reexecuted_iterations": reexecuted,
-            "frozen_frontier": frontier,
-        })
+        benchmarks_report.append(report)
 
     wire = _run_resume_wire(violations)
     crash_loop = _run_crash_loop(violations)
@@ -776,7 +772,7 @@ def _run_resume_wire(violations: List[str]) -> dict:
                     "op": "analyze",
                     "text": benchmark.source,
                     "entries": [benchmark.entry],
-                    "_chaos": {"kill_at_iteration": 5},
+                    "_chaos": {"kill_at_iteration": 1},
                 })
                 entry = {
                     "name": benchmark.name,
@@ -888,36 +884,57 @@ def _run_crash_loop(violations: List[str]) -> dict:
 def _measure_checkpoint_overhead(
     rounds: int, limit_pct: float, violations: List[str]
 ) -> dict:
-    """Scheduler wall clock with the default checkpoint cadence versus
-    none; the arms are *interleaved* round by round (a sequential A-then
-    -B layout charges all the interpreter warm-up to one arm) and the
-    min over rounds of each whole-suite total tames scheduler noise on
-    these sub-millisecond benchmarks."""
+    """Analysis wall clock with the default checkpoint cadence versus
+    none: per arm, the sum over benchmarks of each one's minimum over
+    rounds (the floor :func:`repro.bench.emit.run_obs` gates on).
+
+    Within a round every benchmark runs under both arms back to back,
+    and the arm that goes first alternates from round to round: a fixed
+    order charges warm-up and cache effects to one arm, and arms timed
+    far apart see different machine load.  Each benchmark only needs
+    one undisturbed run per arm somewhere in the rounds, where a
+    whole-suite total needs all of them in the same round.  The cyclic
+    GC is parked and a collection is forced before each timed attempt,
+    so one arm's garbage can never bill a collection to the other."""
+    import gc
+
     from ..robust import checkpoint as ckpt
 
-    def one_round(checkpointed: bool) -> float:
-        total = 0.0
-        for benchmark in BENCHMARKS:
-            discard: List[dict] = []
-            started = time.perf_counter()
-            _scheduled_attempt(
-                benchmark,
-                sink=discard.append if checkpointed else None,
-                checkpoint_every=(
-                    ckpt.DEFAULT_CHECKPOINT_EVERY if checkpointed else None
-                ),
-            )
-            total += time.perf_counter() - started
-        return total
+    def timed_attempt(benchmark, checkpointed: bool) -> float:
+        discard: List[dict] = []
+        gc.collect()
+        started = time.perf_counter()
+        _analysis_attempt(
+            benchmark,
+            sink=discard.append if checkpointed else None,
+            checkpoint_every=(
+                ckpt.DEFAULT_CHECKPOINT_EVERY if checkpointed else None
+            ),
+        )
+        return time.perf_counter() - started
 
-    one_round(False), one_round(True)  # warm-up, uncounted
-    plain_rounds: List[float] = []
-    checkpointed_rounds: List[float] = []
-    for _ in range(rounds):
-        plain_rounds.append(one_round(False))
-        checkpointed_rounds.append(one_round(True))
-    plain = min(plain_rounds)
-    checkpointed = min(checkpointed_rounds)
+    #: arm → benchmark name → fastest attempt so far.
+    floors: Dict[bool, Dict[str, float]] = {False: {}, True: {}}
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for benchmark in BENCHMARKS:  # warm-up, uncounted
+            timed_attempt(benchmark, False)
+            timed_attempt(benchmark, True)
+        for index in range(rounds):
+            first = index % 2 == 1
+            for benchmark in BENCHMARKS:
+                for checkpointed in (first, not first):
+                    elapsed = timed_attempt(benchmark, checkpointed)
+                    best = floors[checkpointed]
+                    best[benchmark.name] = min(
+                        elapsed, best.get(benchmark.name, elapsed)
+                    )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    plain = sum(floors[False].values())
+    checkpointed = sum(floors[True].values())
     overhead_pct = (
         (checkpointed - plain) / plain * 100.0 if plain > 0 else 0.0
     )
@@ -978,9 +995,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="shards in the gateway campaign (default 2)",
     )
     parser.add_argument(
-        "--resume-kill-every", type=int, default=4,
+        "--resume-kill-every", type=int, default=1,
         help="kill interval (fixpoint passes) for the resume campaign "
-        "(default 4; 0 skips it)",
+        "(default 1; 0 skips it)",
     )
     arguments = parser.parse_args(argv)
     document = run(

@@ -7,7 +7,7 @@ Three pieces:
   designed so that every instrumented component is a no-op when its
   ``metrics`` attribute is ``None`` (the default everywhere);
 * :mod:`repro.obs.trace` — nested spans and events as JSON lines
-  (request → entry spec → SCC → fixpoint iteration), togglable via
+  (request → entry spec → fixpoint iteration), togglable via
   ``--trace-out`` on ``repro-analyze`` and ``repro-serve``, with
   cross-process stitching (``stitch``/``validate_stitched``) for the
   gateway → shard → supervisor → worker pipeline;

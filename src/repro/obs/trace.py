@@ -38,8 +38,8 @@ per-process LIFO discipline plus resolvable, acyclic cross-process
 parent edges.  Single-process traces (``process=None``) are unchanged
 byte-for-byte, and :func:`validate_nesting` keeps its strict contract.
 
-The tracer is for the *structural* layers — request → entry spec → SCC
-→ fixpoint iteration.  Per-instruction tracing stays the job of the
+The tracer is for the *structural* layers — request → entry spec →
+fixpoint iteration.  Per-instruction tracing stays the job of the
 Figure-3 style :mod:`repro.wam.trace` machinery.
 """
 

@@ -296,7 +296,7 @@ function setupStepper(events) {
                   (e.status !== "exact" ? " widened" : "");
       html += "<tr class='" + cls + "'><td>" + escapeHtml(e.key) + "</td>" +
         "<td>" + escapeHtml(String(e.success == null ? "⊥" : e.success)) +
-        (e.frozen ? " ❄" : "") + "</td><td>" + e.updates + "</td></tr>";
+        "</td><td>" + e.updates + "</td></tr>";
     }
     html += "</table>";
     if (st.truncated) html += "<div class='meta'>… " + st.truncated +

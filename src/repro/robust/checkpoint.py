@@ -13,12 +13,14 @@ every intermediate table is ⊑ the least fixpoint, and ``updateET`` only
 lubs summaries upward.  Re-planting an intermediate table and iterating
 therefore converges to the *same* least fixpoint a from-scratch run
 reaches — a checkpoint can only shift where the iteration starts, never
-where it ends.  On the SCC-scheduled path the thawed verification sweep
-(:mod:`repro.serve.scheduler`) independently re-confirms every summary,
-so even a checkpoint from the wrong program version is a performance
-matter, never a soundness one.  Snapshots capture only ``exact``-status
-entries: ⊤-widened (degraded) summaries are sound but *above* the
-fixpoint, and resuming from them would pin the imprecision forever.
+where it ends.  That argument needs every planted summary to sit below
+the fixpoint: the loop raises low summaries but keeps high ones, so a
+snapshot from another program version or configuration would leave a
+sound but possibly coarser result.  :func:`load` therefore refuses a
+snapshot whose identity fingerprints or checksum do not match, and
+snapshots capture only ``exact``-status entries: ⊤-widened (degraded)
+summaries are sound but *above* the fixpoint, and resuming from them
+would pin the imprecision forever.
 
 **Snapshot format** (``repro.checkpoint/1``): a plain-JSON dict —
 
@@ -29,11 +31,10 @@ fixpoint, and resuming from them would pin the imprecision forever.
 * ``entries`` — the sorted entry-spec strings of the run;
 * ``cursor`` — fixpoint progress: cumulative ``iterations`` (passes,
   summed across resumed attempts), ``steps`` spent and the ``attempts``
-  count; the supervisor's crash-loop containment watches this cursor;
+  count; resumes prefer the snapshot with the furthest cursor, and the
+  supervisor's crash-loop containment watches it;
 * ``table`` — the canonical sorted entry list
-  (:func:`repro.analysis.codec.entry_to_json` plus a ``frozen`` flag:
-  frozen entries were stabilized bottom-up and are final, unfrozen ones
-  were mid-iteration);
+  (:func:`repro.analysis.codec.entry_to_json`);
 * ``sha256`` — checksum over the canonical serialization of everything
   above; a torn or tampered snapshot fails :func:`load`.
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from ..analysis.codec import entry_from_json, entry_to_json
 from ..analysis.table import ExtensionTable
@@ -92,19 +93,13 @@ def snapshot(
     if isinstance(tables, ExtensionTable):
         tables = (tables,)
     merged = ExtensionTable()
-    frozen_keys = set()
     for table in tables:
         merged.merge(table)
-        for indicator, entry in table.all_entries():
-            if entry.frozen:
-                frozen_keys.add((indicator, entry.calling))
-    items: List[dict] = []
-    for indicator, entry in merged.all_entries():
-        if entry.status != STATUS_EXACT:
-            continue  # never resume from a ⊤-widened summary
-        item = entry_to_json(indicator, entry)
-        item["frozen"] = (indicator, entry.calling) in frozen_keys
-        items.append(item)
+    items: List[dict] = [
+        entry_to_json(indicator, entry)
+        for indicator, entry in merged.all_entries()
+        if entry.status == STATUS_EXACT  # never resume from ⊤-widened
+    ]
     items.sort(key=lambda item: (item["predicate"], json.dumps(item["calling"])))
     body = {
         "format": CHECKPOINT_FORMAT,
@@ -173,70 +168,18 @@ def cursor_iterations(data) -> int:
     return 0
 
 
-def frozen_entries(data) -> int:
-    """How many table entries a snapshot recorded as frozen (0 for
-    anything malformed).  Frozen entries are stabilized components the
-    resumed scheduler skips outright, so this is the *durable* progress
-    a snapshot banks — unfrozen entries only shorten the value ascent,
-    they never remove a key's confirmation pass."""
-    if isinstance(data, dict):
-        table = data.get("table")
-        if isinstance(table, list):
-            return sum(
-                1
-                for item in table
-                if isinstance(item, dict) and item.get("frozen")
-            )
-    return 0
-
-
-def snapshot_rank(data) -> Tuple[int, int]:
-    """Resume preference order for a snapshot: ``(frozen, iterations)``.
-
-    The scheduler's verification phase thaws the whole table, so the
-    *latest* snapshot (max cursor) of a run can carry zero frozen
-    entries while an earlier stabilization-boundary snapshot carries
-    the full frozen frontier.  Resuming from the thawed one would
-    re-confirm every component from the bottom; resuming from the
-    frontier-rich one skips the stabilized components entirely.  Rank
-    snapshots by frozen count first (durable progress), cursor second
-    (value-ascent progress as the tie-break) — ``max`` over this rank
-    picks the cheapest restart point.
-    """
-    return (frozen_entries(data), cursor_iterations(data))
-
-
-def plant(
-    data: dict,
-    table: ExtensionTable,
-    *,
-    respect_frozen: bool = True,
-    metrics=None,
-) -> int:
+def plant(data: dict, table: ExtensionTable, *, metrics=None) -> int:
     """Install a snapshot's entries into ``table`` via ``table.seed``;
-    returns the number of entries planted.
-
-    With ``respect_frozen`` (the SCC-scheduled path), entries the prior
-    attempt stabilized stay frozen — the scheduler skips re-iterating
-    them and the thawed verification sweep still re-confirms everything.
-    Without it (the monolithic driver, which has no verification sweep),
-    every entry is planted unfrozen — seed *and* thaw in one step — so
-    the resumed run is a pure Kleene restart from the recorded iterate
-    and converges to the same fixpoint it always would."""
+    returns the number of entries planted.  The resumed run is a Kleene
+    restart from the recorded iterate and converges to the same
+    fixpoint it always would."""
     planted = 0
     for item in data.get("table", ()):
         try:
             indicator, calling, success, may_share = entry_from_json(item)
         except (KeyError, TypeError, ValueError, IndexError):
             continue  # one damaged entry must not void the rest
-        table.seed(
-            indicator,
-            calling,
-            success,
-            may_share,
-            status=STATUS_EXACT,
-            frozen=bool(item.get("frozen")) if respect_frozen else False,
-        )
+        table.seed(indicator, calling, success, may_share)
         planted += 1
     if planted and metrics is not None:
         metrics.counter("resume.entries_planted").inc(planted)
@@ -363,8 +306,6 @@ __all__ = [
     "CheckpointPolicy",
     "checkpoint_checksum",
     "cursor_iterations",
-    "frozen_entries",
-    "snapshot_rank",
     "load",
     "plant",
     "snapshot",

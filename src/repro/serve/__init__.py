@@ -3,24 +3,25 @@
 Turns the one-shot analyzer into a long-lived, cache-backed service:
 content-addressed fingerprints (:mod:`~repro.serve.fingerprint`), a
 predicate call graph with Merkle SCC fingerprints
-(:mod:`~repro.serve.callgraph`), a bottom-up SCC-scheduled fixpoint
-(:mod:`~repro.serve.scheduler`), a self-healing capped result store
-(:mod:`~repro.serve.store`), the request loop itself
-(:mod:`~repro.serve.service`), crash isolation — a supervised
-worker-subprocess pool (:mod:`~repro.serve.pool`) fronted by retry and
-kill policy (:mod:`~repro.serve.supervisor`) — and horizontal scale: a
-network-facing asyncio gateway (:mod:`~repro.serve.gateway`) routing by
-consistent-hashed program fingerprint across bounded-queue shards
-(:mod:`~repro.serve.shard`) with admission control and budget-based
-load shedding.  See docs/serve.md for
-the architecture, the cache-soundness argument, and the operations /
-failure-modes contract.
+(:mod:`~repro.serve.callgraph`), fixpoint runs seeded from the cached
+summaries of unchanged components (:mod:`~repro.serve.scheduler`), a
+self-healing capped result store (:mod:`~repro.serve.store`), the
+request loop itself (:mod:`~repro.serve.service`), crash isolation — a
+supervised worker-subprocess pool (:mod:`~repro.serve.pool`) fronted
+by retry and kill policy (:mod:`~repro.serve.supervisor`) — and
+horizontal scale: a network-facing asyncio gateway
+(:mod:`~repro.serve.gateway`) routing by consistent-hashed program
+fingerprint across bounded-queue shards (:mod:`~repro.serve.shard`)
+with admission control and budget-based load shedding.  See
+docs/serve.md for the architecture, the cache-soundness argument, and
+the operations / failure-modes contract.
 
 Two invariants hold across every module here.  **Soundness**: a served
 response equals what a from-scratch ``analyze()`` of the current text
 would produce — caching and crash recovery may change latency, never
-answers (degraded results are never stored, frozen summaries are
-re-verified after seeding).  **Observation is inert**: the
+answers (degraded results are never stored, seeds are re-explored and
+restricted to what the final pass reaches, and cache entries are
+fingerprint-keyed and checksummed).  **Observation is inert**: the
 :mod:`repro.obs` metrics and traces threaded through the service
 (``metrics`` op, ``stats``, worker delta shipping) only record; they
 are guaranteed not to alter any response, and docs/observability.md

@@ -1,72 +1,39 @@
-"""Bottom-up, SCC-scheduled fixpoint runs with cache seeding.
+"""Seeded fixpoint runs for the service, and what they cost.
 
-The monolithic driver (:meth:`repro.analysis.driver.Analyzer.analyze`)
-re-runs each entry goal over the whole program until the extension table
-stops changing: every pass re-executes every reachable predicate.  The
-scheduler replaces that with a component-structured run:
+The service analyzes with the one fixpoint loop there is,
+:meth:`repro.analysis.driver.Analyzer.analyze`: summaries cached for
+*clean* call-graph components (Merkle fingerprint unchanged, see
+:mod:`repro.serve.callgraph`) are passed as its ``seeds``, planted as
+ordinary initial table contents after any resumed checkpoint, and the
+entry is re-run until a pass leaves the table unchanged.  The table is
+then restricted to what that final pass explored, so seeds the edited
+program no longer reaches never reach a result.
 
-1. **Seed** — summaries cached for *clean* SCCs (Merkle fingerprint
-   unchanged, see :mod:`repro.serve.callgraph`) are installed as frozen
-   table entries.  The abstract machine returns frozen summaries without
-   re-running any clause, in every pass.
-
-2. **Discover** — one pass from the entry pattern records which calling
-   patterns actually arise.  Frozen components are crossed in O(1);
-   dirty components are explored and get provisional entries.
-
-3. **Stabilize bottom-up** — unfrozen calling patterns are grouped by
-   SCC and iterated to a local fixpoint in callees-first order (via
-   :meth:`~repro.analysis.driver.Analyzer.pattern_fixpoint`).  When a
-   component stabilizes, its entries are frozen, so callers above it
-   never re-iterate it — each component's summary is computed once.
-
-4. **Verify & restrict** — the table is thawed and the entry pattern is
-   re-run until unchanged, recording every (predicate, pattern) key it
-   touches.  Entries not touched (stale seeds the edited program no
-   longer reaches) are dropped.  This final sweep is what makes the
-   served result independent of cache state: even a wrong seed would be
-   re-explored and corrected here, so cache validity is a performance
-   matter, never a soundness one.
-
-Entry specs are processed deepest-SCC-first and each exact spec's final
-entries seed the later specs of the same request, so shared components
-are analyzed once per request, not once per entry.  Per-spec isolation
-and the degradation contract of :mod:`repro.robust` are preserved: a
-budget trip while analyzing one spec widens only what that spec touched.
+:class:`ScheduleStats` reports the run per request.  Each spec's passes
+fall into three roles: its first pass *discovers* the calling patterns
+that arise, its final unchanged pass *verifies* the fixpoint, and the
+passes between *stabilize* it.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
-from ..analysis.driver import Analyzer, EntryReport, EntrySpec
-from ..analysis.patterns import Pattern
+from ..analysis.driver import Analyzer, EntrySpec, Seed
 from ..analysis.results import AnalysisResult
-from ..analysis.table import ExtensionTable
-from ..errors import BudgetExceeded, InjectedFault, ReproError
-from ..prolog.terms import Indicator
-from ..robust import (
-    STATUS_DEGRADED,
-    STATUS_EXACT,
-    STATUS_FAILED,
-    Budget,
-)
+from ..robust import STATUS_EXACT
 from .callgraph import CallGraph
-
-#: A seedable summary: (indicator, calling, success, may_share).
-Seed = Tuple[Indicator, Pattern, Optional[Pattern], frozenset]
 
 
 @dataclass
 class ScheduleStats:
-    """What the scheduler did for one request (observability)."""
+    """What one seeded run did (observability)."""
 
     sccs_total: int = 0
     seeds_planted: int = 0
+    #: Entries the restriction to the final pass dropped.
     seeds_dropped: int = 0
-    sccs_stabilized: int = 0
     discovery_passes: int = 0
     stabilization_passes: int = 0
     verification_passes: int = 0
@@ -78,7 +45,6 @@ class ScheduleStats:
             "sccs_total": self.sccs_total,
             "seeds_planted": self.seeds_planted,
             "seeds_dropped": self.seeds_dropped,
-            "sccs_stabilized": self.sccs_stabilized,
             "discovery_passes": self.discovery_passes,
             "stabilization_passes": self.stabilization_passes,
             "verification_passes": self.verification_passes,
@@ -87,7 +53,7 @@ class ScheduleStats:
 
 
 class SCCScheduler:
-    """Runs analyses over one compiled program, component by component."""
+    """Runs seeded analyses of one compiled program."""
 
     def __init__(self, analyzer: Analyzer, graph: Optional[CallGraph] = None):
         self.analyzer = analyzer
@@ -95,256 +61,39 @@ class SCCScheduler:
             analyzer.compiled
         )
 
-    # ------------------------------------------------------------------
-
     def analyze(
         self,
         specs: Sequence[EntrySpec],
         seeds: Sequence[Seed] = (),
-        budget: Optional[Budget] = None,
-        fault_plan=None,
-        on_budget: str = "degrade",
         checkpoint=None,
         resume: Optional[dict] = None,
     ) -> Tuple[AnalysisResult, ScheduleStats]:
-        """Analyze ``specs``, reusing ``seeds`` where the program reaches
-        them.  Returns the result plus scheduling statistics.
-
-        ``checkpoint`` is an optional
-        :class:`~repro.robust.checkpoint.CheckpointPolicy` notified
-        after every charged fixpoint pass and flushed (pre-widening)
-        when a spec degrades.  ``resume`` is a validated checkpoint
-        snapshot: its entries are planted *before* the cache seeds (so
-        known-final cache data wins ties), frozen entries staying
-        frozen — a stabilized component from the previous attempt is
-        never re-iterated — while mid-iteration entries continue
-        stabilizing from where they stopped.  The thawed verification
-        sweep re-confirms everything either way, so the served result
-        is identical to a from-scratch run."""
-        if budget is None:
-            budget = Budget(max_iterations=self.analyzer.max_iterations)
-        budget.start()
-        stats = ScheduleStats(sccs_total=len(self.graph.sccs))
-        merged = ExtensionTable()
-        reports: Dict[int, EntryReport] = {}
-        iterations = 0
-        instructions = 0
-        started = time.perf_counter()
-        #: request-local pool: summaries finalized by earlier specs.
-        pool: Dict[Tuple[Indicator, Pattern], Seed] = {
-            (indicator, calling): (indicator, calling, success, share)
-            for indicator, calling, success, share in seeds
-        }
-        # Deepest components first, so shared summaries are finalized
-        # before the specs that merely call into them.
-        order = sorted(
-            range(len(specs)),
-            key=lambda position: (
-                self.graph.scc_of.get(specs[position].indicator, -1),
-                position,
-            ),
+        """Analyze ``specs`` from ``seeds`` (and ``resume``, a validated
+        checkpoint snapshot) with the analyzer's budget and degrade
+        policy.  Returns the result plus what the run did."""
+        result = self.analyzer.analyze(
+            specs, checkpoint=checkpoint, resume=resume, seeds=seeds
         )
-        metrics = self.analyzer.metrics
-        tracer = self.analyzer.tracer
-        self.analyzer.reset_state_dumps()
-        for position in order:
-            spec = specs[position]
-            spec_table = ExtensionTable(
-                budget=budget, fault_plan=fault_plan, metrics=metrics
+        stats = ScheduleStats(sccs_total=len(self.graph.sccs))
+        for report in result.entry_reports:
+            stats.seeds_planted += report.seeded
+            stats.seeds_dropped += report.dropped
+            stats.resume_planted += report.resumed
+            discovery = min(report.iterations, 1)
+            verification = int(
+                report.status == STATUS_EXACT and report.iterations > 1
             )
-            if resume is not None:
-                from ..robust.checkpoint import plant
-
-                stats.resume_planted += plant(
-                    resume, spec_table, respect_frozen=True, metrics=metrics
-                )
-            planted = 0
-            for indicator, calling, success, share in pool.values():
-                spec_table.seed(indicator, calling, success, share)
-                planted += 1
-            stats.seeds_planted += planted
-            machine = self.analyzer.machine_for(spec_table, budget, fault_plan)
-            report = EntryReport(spec)
-            touched_all = spec_table.begin_touch_trace()
-            spec_started = time.perf_counter()
-            if tracer is not None:
-                tracer.begin("entry_spec", spec=str(spec), seeds=planted)
-            try:
-                self._run_spec(spec, spec_table, machine, report, stats,
-                               budget, fault_plan, checkpoint)
-            except (BudgetExceeded, InjectedFault) as exc:
-                if on_budget == "raise":
-                    if tracer is not None:
-                        tracer.end(error=repr(exc))
-                    raise
-                # Snapshot the pre-widening iterate: the widening below
-                # erases this spec's partial work, and a follow-up
-                # request should resume it rather than re-derive ⊤.
-                if checkpoint is not None:
-                    checkpoint.flush(spec_table)
-                report.status = STATUS_DEGRADED
-                report.reason = str(exc)
-            except ReproError as exc:
-                if on_budget == "raise":
-                    if tracer is not None:
-                        tracer.end(error=repr(exc))
-                    raise
-                report.status = STATUS_FAILED
-                report.reason = str(exc)
-            if tracer is not None:
-                tracer.end(status=report.status)
-            if metrics is not None:
-                metrics.histogram("analysis.entry.seconds").observe(
-                    time.perf_counter() - spec_started
-                )
-                metrics.counter("analysis.specs", status=report.status).inc()
-            spec_table.end_touch_trace()
-            if report.status != STATUS_EXACT:
-                # Sound degradation, scoped to what this spec touched:
-                # drop unconsulted seeds first, then widen the rest to ⊤
-                # (the driver's contract, see repro.robust).
-                spec_table.disarm()
-                spec_table.restrict_to(touched_all)
-                spec_table.entry(spec.indicator, spec.pattern)
-                spec_table.widen_to_top(report.status)
-            else:
-                for indicator, entry in spec_table.all_entries():
-                    pool[(indicator, entry.calling)] = (
-                        indicator, entry.calling, entry.success, entry.may_share
-                    )
-            merged.merge(spec_table)
-            iterations += report.iterations
-            instructions += machine.instruction_count
-            reports[position] = report
+            stats.discovery_passes += discovery
+            stats.verification_passes += verification
+            stats.stabilization_passes += (
+                report.iterations - discovery - verification
+            )
+        metrics = self.analyzer.metrics
         if metrics is not None:
             for name, value in stats.to_dict().items():
                 if value:
                     metrics.counter(f"serve.scheduler.{name}").inc(value)
-        elapsed = time.perf_counter() - started
-        result = AnalysisResult(
-            table=merged,
-            compiled=self.analyzer.compiled,
-            entries=list(specs),
-            iterations=iterations,
-            instructions_executed=instructions,
-            seconds=elapsed,
-            depth=self.analyzer.depth,
-            entry_reports=[reports[i] for i in range(len(specs))],
-        )
         return result, stats
-
-    # ------------------------------------------------------------------
-
-    def _run_spec(
-        self,
-        spec: EntrySpec,
-        table: ExtensionTable,
-        machine,
-        report: EntryReport,
-        stats: ScheduleStats,
-        budget: Budget,
-        fault_plan,
-        checkpoint=None,
-    ) -> None:
-        graph = self.graph
-        tracer = self.analyzer.tracer
-        # --- 2. discovery ---------------------------------------------
-        self._charge(budget, fault_plan)
-        report.iterations += 1
-        stats.discovery_passes += 1
-        if tracer is not None:
-            tracer.event("discovery_pass")
-        machine.run_pattern(spec.indicator, spec.pattern)
-        if checkpoint is not None:
-            checkpoint.note_pass(table)
-        # --- 3. bottom-up stabilization -------------------------------
-        # Components are visited callees-first; when one stabilizes,
-        # every entry at or below it is final and gets frozen, so the
-        # components above never iterate it again.
-        for scc_index in range(len(graph.sccs)):
-            while True:
-                keys = self._unfrozen_keys(table, graph, scc_index)
-                if not keys:
-                    break
-                stats.sccs_stabilized += 1
-                if tracer is not None:
-                    tracer.begin(
-                        "scc", index=scc_index, patterns=len(keys)
-                    )
-                try:
-                    stable = False
-                    while not stable:
-                        before = table.changes
-                        for indicator, calling in keys:
-                            passes = self.analyzer.pattern_fixpoint(
-                                machine, indicator, calling,
-                                budget=budget, fault_plan=fault_plan,
-                                on_pass=(
-                                    None if checkpoint is None
-                                    else lambda: checkpoint.note_pass(table)
-                                ),
-                            )
-                            report.iterations += passes
-                            stats.stabilization_passes += passes
-                        stable = table.changes == before
-                        keys = self._unfrozen_keys(table, graph, scc_index)
-                finally:
-                    if tracer is not None:
-                        tracer.end()
-                self._freeze_upto(table, graph, scc_index)
-        # --- 4. verification & restriction ----------------------------
-        # Thaw everything and re-run the entry to a confirmed fixpoint,
-        # tracing reachability.  With correct seeds this is one pass; if
-        # a seed were ever wrong, this loop would redo the work and
-        # converge to the true fixpoint anyway.
-        table.thaw()
-        while True:
-            reachable = table.begin_touch_trace()
-            self._charge(budget, fault_plan)
-            report.iterations += 1
-            stats.verification_passes += 1
-            if tracer is not None:
-                tracer.event("verification_pass")
-            before = table.changes
-            machine.run_pattern(spec.indicator, spec.pattern)
-            if checkpoint is not None:
-                checkpoint.note_pass(table)
-            if table.changes == before:
-                break
-        stats.seeds_dropped += table.restrict_to(reachable)
-
-    @staticmethod
-    def _charge(budget: Budget, fault_plan) -> None:
-        if fault_plan is not None and fault_plan.watches("iteration"):
-            fault_plan.fire("iteration")
-        budget.charge_iteration()
-
-    @staticmethod
-    def _unfrozen_keys(
-        table: ExtensionTable, graph: CallGraph, scc_index: int
-    ) -> List[Tuple[Indicator, Pattern]]:
-        keys: List[Tuple[Indicator, Pattern]] = []
-        for indicator in graph.members(scc_index):
-            for entry in table.entries_for(indicator):
-                if not entry.frozen:
-                    keys.append((indicator, entry.calling))
-        return keys
-
-    @staticmethod
-    def _freeze_upto(
-        table: ExtensionTable, graph: CallGraph, scc_index: int
-    ) -> None:
-        """Freeze every entry in components at or below ``scc_index``.
-
-        Exploration only descends the condensation, so at the moment
-        component ``scc_index`` stabilizes, every unfrozen entry at or
-        below it was iterated to its fixpoint by the sweeps just run."""
-        for indicator, entry in table.all_entries():
-            if entry.frozen:
-                continue
-            owner = graph.scc_of.get(indicator)
-            if owner is not None and owner <= scc_index:
-                table.freeze(entry)
 
 
 __all__ = ["SCCScheduler", "ScheduleStats", "Seed"]

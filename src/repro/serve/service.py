@@ -8,11 +8,14 @@ and degradation status.  The serving invariant:
 
     **Served results are the results a from-scratch ``analyze()`` of the
     current program text would produce.**  The cache can only make
-    answers faster, never different: full-result hits are keyed by
-    fingerprints covering everything the analysis depends on, and
-    partially-seeded runs end with a thawed verification sweep that
-    recomputes anything a stale summary could have influenced (see
-    :mod:`repro.serve.scheduler`).
+    answers faster, never different, because everything it holds is
+    keyed by fingerprints covering everything the analysis depends on
+    (and checksummed on disk): a full-result hit is the stored answer,
+    and a partially-seeded run re-explores its seeds and drops the ones
+    the program no longer reaches (see :mod:`repro.serve.scheduler`).
+    The fixpoint loop itself raises a seed that sits *below* the
+    fixpoint, but a seed *above* it would survive — sound but coarser —
+    so exact answers rest on those keys and checksums.
 
 Request protocol (JSON object per line on stdin, response per line on
 stdout; see docs/serve.md):
@@ -34,12 +37,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.driver import Analyzer, parse_entry_spec
+from ..analysis.driver import Analyzer, Seed, parse_entry_spec
 from ..errors import ReproError
 from ..prolog.library import with_library
 from ..prolog.program import Program
 from ..robust import Budget
-from ..wam.compile import CompilerOptions
+from ..wam.compile import CompilerOptions, compile_program
 from .callgraph import CallGraph
 from .fingerprint import (
     config_fingerprint,
@@ -47,7 +50,7 @@ from .fingerprint import (
     predicate_fingerprints,
     request_fingerprint,
 )
-from .scheduler import SCCScheduler, Seed
+from .scheduler import SCCScheduler
 from .store import (
     DiskStore,
     ResultStore,
@@ -100,7 +103,7 @@ class AnalysisService:
         from ..obs.metrics import MetricsRegistry
 
         self.metrics = MetricsRegistry()
-        #: Optional repro.obs.Tracer for request → entry spec → SCC spans
+        #: Optional repro.obs.Tracer for request → entry spec spans
         #: (the ``--trace-out`` flag of repro-serve).
         self.tracer = tracer
         self.store = ResultStore(
@@ -118,8 +121,8 @@ class AnalysisService:
             metrics=self.metrics,
         )
         self.requests_served = 0
-        #: (program_fp, config knobs) → (Analyzer, CallGraph, merkle fps,
-        #: predicate fps); compiling is itself worth caching.
+        #: program fingerprint → (Program, CompiledProgram, CallGraph,
+        #: merkle fps); compiling is itself worth caching.
         self._compiled: Dict[str, Tuple] = {}
         #: Extra checkpoint sink: the worker loop points this at stdout
         #: so every snapshot also reaches the supervisor as an interim
@@ -239,26 +242,14 @@ class AnalysisService:
         )
         cached = self._compiled.get(program_key)
         if cached is not None:
-            # The tracer can change between requests (workers swap in a
-            # per-request tracer); keep the memoized analyzer in sync so
-            # cached programs still emit entry_spec/scc spans.
-            cached[1].tracer = self.tracer
             return cached
-        analyzer = Analyzer(
+        compiled = compile_program(
             program,
-            options=CompilerOptions(
-                environment_trimming=config.environment_trimming
-            ),
-            depth=config.depth,
-            list_aware=config.list_aware,
-            subsumption=config.subsumption,
-            on_undefined=config.on_undefined,
-            metrics=self.metrics,
-            tracer=self.tracer,
+            CompilerOptions(environment_trimming=config.environment_trimming),
         )
-        graph = CallGraph.from_compiled(analyzer.compiled)
+        graph = CallGraph.from_compiled(compiled)
         merkle = graph.merkle_fingerprints(fps)
-        prepared = (program, analyzer, graph, merkle)
+        prepared = (program, compiled, graph, merkle)
         if len(self._compiled) > 64:  # a small bounded memo, LRU-ish
             self._compiled.pop(next(iter(self._compiled)))
         self._compiled[program_key] = prepared
@@ -285,14 +276,14 @@ class AnalysisService:
 
         Returns ``(response, live_result)``; ``live_result`` is the
         in-process :class:`AnalysisResult` when the fixpoint actually ran
-        (or when ``need_live`` forces a seeded run on a full-result hit —
-        seeded means zero re-iteration of clean components), else None.
+        (or when ``need_live`` forces a run on a full-result hit — fully
+        seeded, so it converges in one confirming pass), else None.
         """
         text = self._load_text(request)
         entries = request.get("entries")
         if not entries:
             raise ValueError("request needs non-empty 'entries'")
-        program, analyzer, graph, merkle = self._prepare(text)
+        program, compiled, graph, merkle = self._prepare(text)
         specs = [parse_entry_spec(entry) for entry in entries]
         config_fp = self._config_fp()
         entry_fps = [entry_fingerprint(spec) for spec in specs]
@@ -328,15 +319,12 @@ class AnalysisService:
                 None,
             )
         # ---- resume from the best valid checkpoint --------------------
-        # Two sources, best snapshot_rank wins: one attached to the
+        # Two sources, the furthest cursor wins: one attached to the
         # request (the supervisor replays the best snapshot a crashed
         # worker shipped up the wire) and one in the durable store
-        # (survives every worker in the pool dying).  Rank is
-        # (frozen, cursor), not cursor alone: the verification phase
-        # thaws the table, so the newest snapshot can carry less durable
-        # progress than an earlier stabilization-boundary one.  Both
-        # sources are best-effort: an invalid snapshot is ignored and
-        # counted, never an error.
+        # (survives every worker in the pool dying).  Both sources are
+        # best-effort: an invalid snapshot is ignored and counted,
+        # never an error.
         from ..robust import checkpoint as ckpt
 
         checkpoint_key = f"{self.store.CHECKPOINT_PREFIX}{request_fp}"
@@ -353,7 +341,8 @@ class AnalysisService:
             )
             if loaded is not None and (
                 resume is None
-                or ckpt.snapshot_rank(loaded) > ckpt.snapshot_rank(resume)
+                or ckpt.cursor_iterations(loaded)
+                > ckpt.cursor_iterations(resume)
             ):
                 resume = loaded
         resume_base = ckpt.cursor_iterations(resume) if resume else 0
@@ -366,13 +355,12 @@ class AnalysisService:
             kill_at = self.kill_at_iteration
 
             def checkpoint_sink(snap: dict) -> None:
-                # Overwrite the durable snapshot only when the new one
-                # ranks at least as high — a thawed verification-phase
-                # snapshot must not clobber the frozen frontier an
-                # earlier stabilization-boundary snapshot banked.
+                # Keep the furthest snapshot: another worker sharing
+                # the store may have banked more passes of this request.
                 held = self.store.get_checkpoint(checkpoint_key)
                 if held is None or (
-                    ckpt.snapshot_rank(snap) >= ckpt.snapshot_rank(held)
+                    ckpt.cursor_iterations(snap)
+                    >= ckpt.cursor_iterations(held)
                 ):
                     self.store.put_checkpoint(checkpoint_key, snap)
                 if self.checkpoint_wire_sink is not None:
@@ -399,15 +387,21 @@ class AnalysisService:
                 metrics=self.metrics,
                 on_pass=on_pass if kill_at is not None else None,
             )
-        # ---- run the SCC-scheduled fixpoint ---------------------------
-        scheduler = SCCScheduler(analyzer, graph)
-        result, stats = scheduler.analyze(
-            specs,
-            seeds=seeds,
+        # ---- run the seeded fixpoint ----------------------------------
+        config = self.config
+        analyzer = Analyzer(
+            compiled,
+            depth=config.depth,
+            list_aware=config.list_aware,
+            subsumption=config.subsumption,
+            on_undefined=config.on_undefined,
             budget=budget,
             on_budget=request.get("on_budget", "degrade"),
-            checkpoint=policy,
-            resume=resume,
+            metrics=self.metrics,
+            tracer=self.tracer,
+        )
+        result, stats = SCCScheduler(analyzer, graph).analyze(
+            specs, seeds=seeds, checkpoint=policy, resume=resume
         )
         if result.status == "exact":
             # Forward progress complete: the checkpoint is garbage now.
@@ -456,8 +450,8 @@ class AnalysisService:
         the source rules, which are cheap and run fresh every time.
 
         The rule engine needs a live :class:`AnalysisResult`, so a
-        full-result cache hit still runs one fully-seeded pass — no
-        clean component is re-iterated."""
+        full-result cache hit still runs the fixpoint, fully seeded:
+        one confirming pass."""
         from ..lint import lint_source, verify_compiled
         from ..lint.diagnostics import LintReport
 
@@ -465,10 +459,10 @@ class AnalysisService:
         if not analysis.get("ok") or result is None:
             return analysis
         text = self._load_text(request)
-        program, analyzer, graph, merkle = self._prepare(text)
+        program, compiled, _, _ = self._prepare(text)
         report = LintReport()
         file_name = request.get("file", "?")
-        report.extend(verify_compiled(analyzer.compiled, file=file_name))
+        report.extend(verify_compiled(compiled, file=file_name))
         report.extend(lint_source(program, result, file=file_name))
         report.sort()
         return {

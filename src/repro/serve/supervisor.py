@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..robust import FaultPlan
-from ..robust.checkpoint import cursor_iterations, snapshot_rank
+from ..robust.checkpoint import cursor_iterations
 from .pool import WorkerCrashed, WorkerPool, WorkerTimeout
 from .service import ServiceConfig
 from .worker import config_to_wire
@@ -276,12 +276,9 @@ class Supervisor:
             "serve.worker.requests", op=str(request.get("op", "analyze"))
         ).inc()
 
-        # Forward-progress clock, advanced by *every* interim snapshot
-        # (even ones retention rejects): crash-loop detection must see
-        # the cursor move when the attempt covered new ground, while
-        # retention keeps the best-*ranked* snapshot — a thawed
-        # verification-phase snapshot advances the clock but must not
-        # clobber a frozen-frontier snapshot already held.
+        # Forward-progress clock: crash-loop detection must see the
+        # cursor move when an attempt covered new ground, and retention
+        # keeps the snapshot with the furthest cursor.
         progress = {"cursor": cursor_iterations(self._resume.get(key))}
 
         def note_interim(line: dict) -> None:
@@ -289,7 +286,7 @@ class Supervisor:
             cursor = cursor_iterations(snap)
             if cursor > progress["cursor"]:
                 progress["cursor"] = cursor
-            if snapshot_rank(snap) >= snapshot_rank(self._resume.get(key)):
+            if cursor >= cursor_iterations(self._resume.get(key)):
                 self._resume[key] = snap
 
         while True:

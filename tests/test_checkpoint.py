@@ -125,39 +125,26 @@ def test_widened_entries_are_never_snapshotted():
 
 
 def test_cursor_and_rank_helpers_tolerate_garbage():
+    # The cursor is the rank: resumes prefer the furthest snapshot.
     assert ckpt.cursor_iterations(None) == 0
     assert ckpt.cursor_iterations({"cursor": "nope"}) == 0
-    assert ckpt.frozen_entries({"table": "nope"}) == 0
-    assert ckpt.snapshot_rank(None) == (0, 0)
-    snap = _snapshot(iterations=9)
-    assert ckpt.cursor_iterations(snap) == 9
-    assert ckpt.snapshot_rank(snap) == (ckpt.frozen_entries(snap), 9)
+    assert ckpt.cursor_iterations({"cursor": {"iterations": "x"}}) == 0
+    assert ckpt.cursor_iterations(_snapshot(iterations=9)) == 9
 
 
-def test_rank_prefers_frozen_frontier_over_cursor():
-    """A thawed verification-phase snapshot (big cursor, zero frozen)
-    must lose to an earlier stabilization-boundary snapshot that banked
-    the frozen frontier — cursor is a clock, frozen is progress."""
-    table = _analyzed_table()
-    frontier = ckpt.snapshot(table, config="c", key="k", iterations=5)
-    for item in frontier["table"]:
-        item["frozen"] = True
-    frontier["sha256"] = ckpt.checkpoint_checksum(frontier)
-    thawed = ckpt.snapshot(table, config="c", key="k", iterations=50)
-    assert ckpt.frozen_entries(thawed) == 0
-    assert ckpt.snapshot_rank(frontier) > ckpt.snapshot_rank(thawed)
-
-
-def test_plant_respects_or_thaws_frozen_flags():
+def test_plant_accepts_snapshots_with_frozen_flags():
+    # Snapshots written by earlier builds flag some entries "frozen";
+    # they still validate and plant, as ordinary entries.
     snap = _snapshot()
     for item in snap["table"]:
         item["frozen"] = True
-    respected = ExtensionTable()
-    ckpt.plant(snap, respected, respect_frozen=True)
-    assert all(entry.frozen for _, entry in respected.all_entries())
-    thawed = ExtensionTable()
-    ckpt.plant(snap, thawed, respect_frozen=False)
-    assert not any(entry.frozen for _, entry in thawed.all_entries())
+    snap["sha256"] = ckpt.checkpoint_checksum(snap)
+    assert ckpt.load(snap, config="cfg", key="key") is snap
+    table = ExtensionTable()
+    assert ckpt.plant(snap, table) == len(snap["table"])
+    assert ckpt.snapshot(
+        table, config="cfg", key="key", entries=[ENTRY], iterations=7
+    )["table"] == _snapshot()["table"]
 
 
 # ----------------------------------------------------------------------
@@ -390,35 +377,21 @@ def test_cumulative_timeout_bounds_the_retry_chain():
 
 
 def test_kill_every_m_campaign_makes_monotone_progress():
-    """One benchmark-sized program through the same loop the chaos
-    campaign runs: kill on every 4th pass boundary, resume from the
-    best-ranked surviving snapshot, assert exact completion with a
-    non-increasing re-executed-iteration series."""
-    from repro.bench.chaos import _SimulatedKill, _scheduled_attempt
+    """One benchmark-sized program through the chaos campaign's loop:
+    kill on every pass boundary, resume from the furthest surviving
+    snapshot, assert exact completion with a non-increasing
+    re-executed-iteration series."""
+    from repro.bench.chaos import resume_benchmark
     from repro.bench.programs import BY_NAME
 
-    benchmark = BY_NAME["queens_8"]
-    reference, _ = _scheduled_attempt(benchmark)
-    best = None
-    remaining = []
-    for attempt in range(20):
-        emitted = []
-        try:
-            result, passes = _scheduled_attempt(
-                benchmark, resume=best, kill_at=4, sink=emitted.append
-            )
-        except _SimulatedKill:
-            for snap in emitted:
-                if ckpt.snapshot_rank(snap) >= ckpt.snapshot_rank(best):
-                    best = snap
-            _, probe = _scheduled_attempt(benchmark, resume=best)
-            remaining.append(probe)
-            continue
-        remaining.append(passes)
-        break
-    else:
-        pytest.fail("campaign never completed")
+    benchmark = BY_NAME["serialise"]
+    report, result = resume_benchmark(benchmark, kill_every=1,
+                                      max_attempts=20)
+    if result is None:
+        pytest.fail(f"campaign never completed: {report}")
+    reference = Analyzer(benchmark.source).analyze([benchmark.entry])
     assert result.stable_dict() == reference.stable_dict()
+    remaining = report["reexecuted_iterations"]
     assert len(remaining) > 2  # the kill actually bit, repeatedly
     assert all(
         remaining[i + 1] <= remaining[i] for i in range(len(remaining) - 1)

@@ -350,7 +350,7 @@ class TestServiceObservability:
         records = read_trace(path)
         begun = validate_nesting(records)
         names = {record["name"] for record in begun.values()}
-        assert {"request", "entry_spec", "scc"} <= names
+        assert {"request", "entry_spec"} <= names
         request_span = next(
             r for r in begun.values() if r["name"] == "request"
         )
@@ -359,7 +359,7 @@ class TestServiceObservability:
         spec_spans = [r for r in begun.values() if r["name"] == "entry_spec"]
         assert all(r["parent"] == request_span["span"] for r in spec_spans)
         events = {r["name"] for r in records if r["kind"] == "event"}
-        assert "discovery_pass" in events
+        assert "fixpoint_iteration" in events
 
 
 # ----------------------------------------------------------------------

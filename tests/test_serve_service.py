@@ -1,4 +1,4 @@
-"""The analysis service (repro.serve.service) and the SCC scheduler.
+"""The analysis service (repro.serve.service) and its seeded runs.
 
 The contract under test everywhere: whatever the cache state, a served
 result equals a from-scratch ``analyze()`` (compared via
@@ -12,6 +12,10 @@ import json
 import pytest
 
 from repro.analysis.driver import Analyzer, parse_entry_spec
+from repro.analysis.patterns import Pattern
+from repro.bench.stress import _sound_against
+from repro.domain.lattice import ANY_T
+from repro.domain.sorts import AbsSort
 from repro.errors import BudgetExceeded
 from repro.prolog.program import Program
 from repro.robust import Budget, FaultPlan
@@ -45,7 +49,7 @@ def _service(**kwargs):
 
 
 # ----------------------------------------------------------------------
-# The scheduler alone: equivalence with the monolithic driver.
+# The scheduler alone: equivalence with the plain driver.
 
 
 def test_scheduler_matches_driver_without_seeds():
@@ -53,7 +57,12 @@ def test_scheduler_matches_driver_without_seeds():
     result, stats = SCCScheduler(analyzer).analyze([parse_entry_spec(ENTRY)])
     assert result.stable_dict() == _scratch(NREV, [ENTRY])
     assert result.status == "exact"
-    assert stats.sccs_stabilized >= 1
+    # One pass discovers, the final unchanged one verifies, and the
+    # rest stabilize: together the driver's own pass count.
+    assert stats.discovery_passes == stats.verification_passes == 1
+    assert stats.stabilization_passes == result.iterations - 2
+    plain = Analyzer(Program.from_text(NREV)).analyze([ENTRY])
+    assert result.iterations == plain.iterations
 
 
 def test_scheduler_matches_driver_multiple_entries():
@@ -69,10 +78,11 @@ def test_scheduler_matches_driver_multiple_entries():
 
 
 def test_scheduler_budget_degrades_like_driver():
-    analyzer = Analyzer(Program.from_text(NREV))
-    result, _ = SCCScheduler(analyzer).analyze(
-        [parse_entry_spec(ENTRY)], budget=Budget(max_iterations=1)
+    analyzer = Analyzer(
+        Program.from_text(NREV), budget=Budget(max_iterations=1),
+        on_budget="degrade",
     )
+    result, _ = SCCScheduler(analyzer).analyze([parse_entry_spec(ENTRY)])
     assert result.status == "degraded"
     # degraded is sound: ⊤ success patterns, not missing entries
     info = result.predicate(("nrev", 2))
@@ -80,32 +90,48 @@ def test_scheduler_budget_degrades_like_driver():
 
 
 def test_scheduler_budget_raise_mode():
-    analyzer = Analyzer(Program.from_text(NREV))
+    analyzer = Analyzer(
+        Program.from_text(NREV), budget=Budget(max_iterations=1),
+        on_budget="raise",
+    )
     with pytest.raises(BudgetExceeded):
-        SCCScheduler(analyzer).analyze(
-            [parse_entry_spec(ENTRY)],
-            budget=Budget(max_iterations=1),
-            on_budget="raise",
-        )
+        SCCScheduler(analyzer).analyze([parse_entry_spec(ENTRY)])
 
 
 def test_scheduler_fault_injection_degrades():
-    analyzer = Analyzer(Program.from_text(NREV))
-    result, _ = SCCScheduler(analyzer).analyze(
-        [parse_entry_spec(ENTRY)], fault_plan=FaultPlan(at_table_update=2)
+    analyzer = Analyzer(
+        Program.from_text(NREV), fault_plan=FaultPlan(at_table_update=2),
+        on_budget="degrade",
     )
+    result, _ = SCCScheduler(analyzer).analyze([parse_entry_spec(ENTRY)])
     assert result.status == "degraded"
 
 
 def test_scheduler_wrong_seed_is_corrected():
-    # Cache validity is a performance matter, never a soundness one:
-    # even a *wrong* seed (nrev "fails" on glist) must be fixed by the
-    # verification sweep.
+    # A seed *below* the fixpoint (nrev "fails" on glist) is raised to
+    # it: the seeded run ends at the from-scratch result.
     analyzer = Analyzer(Program.from_text(NREV))
     spec = parse_entry_spec(ENTRY)
     wrong = [(spec.indicator, spec.pattern, None, frozenset())]
     result, _ = SCCScheduler(analyzer).analyze([spec], seeds=wrong)
     assert result.stable_dict() == _scratch(NREV, [ENTRY])
+
+
+def test_scheduler_seed_above_fixpoint_survives_sound():
+    # A seed *above* the fixpoint (nrev succeeds with anything) is not
+    # lowered: the run stays exact but coarser, never unsound.  Exact
+    # answers rest on the cache's fingerprint keys and checksums.
+    analyzer = Analyzer(Program.from_text(NREV))
+    spec = parse_entry_spec(ENTRY)
+    top = Pattern((("i", AbsSort.ANY, 0), ("i", AbsSort.ANY, 1)))
+    seeded, _ = SCCScheduler(analyzer).analyze(
+        [spec], seeds=[(spec.indicator, spec.pattern, top, frozenset())]
+    )
+    scratch = Analyzer(Program.from_text(NREV)).analyze([ENTRY])
+    assert seeded.status == "exact"
+    assert _sound_against(scratch, seeded) == []
+    assert seeded.success_types(("nrev", 2)) == [ANY_T, ANY_T]
+    assert scratch.success_types(("nrev", 2)) != [ANY_T, ANY_T]
 
 
 # ----------------------------------------------------------------------
@@ -190,9 +216,9 @@ def test_budget_exhaustion_in_one_request_does_not_leak():
     # checkpoint_every=None isolates the budget-accounting contract;
     # with checkpointing on, the second request would legitimately
     # resume and finish (see test below).
-    service = _service(budget=Budget(max_iterations=4), checkpoint_every=None)
+    service = _service(budget=Budget(max_iterations=2), checkpoint_every=None)
     first = service.handle({"op": "analyze", "text": NREV, "entries": [ENTRY]})
-    assert first["status"] == "degraded"  # 4 iterations is not enough cold
+    assert first["status"] == "degraded"  # 2 iterations is not enough cold
     again = service.handle({"op": "analyze", "text": NREV, "entries": [ENTRY]})
     # the second request gets its own allowance, not the leftovers
     assert again["status"] == "degraded"
@@ -204,7 +230,7 @@ def test_budget_trips_make_cumulative_progress_via_checkpoints():
     # progress: repeated identical requests under the same insufficient
     # per-request budget eventually complete exactly — and the exact
     # result equals a from-scratch run.
-    service = _service(budget=Budget(max_iterations=4), checkpoint_every=1)
+    service = _service(budget=Budget(max_iterations=2), checkpoint_every=1)
     request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
     statuses = []
     for _ in range(8):

@@ -332,7 +332,7 @@ class TestStateDumps:
         assert state["entries"] and "widenings" in state
         entry = state["entries"][0]
         assert {"key", "success", "status", "updates",
-                "frontier", "frozen"} <= set(entry)
+                "frontier"} <= set(entry)
         # First dump: everything is frontier; the converged last pass
         # changed nothing, so its frontier is empty.
         assert all(e["frontier"] for e in state["entries"])
