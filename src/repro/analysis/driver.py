@@ -46,6 +46,7 @@ from ..prolog.terms import (
     Struct,
     Term,
     Var,
+    format_indicator,
     indicator_of,
 )
 from ..wam.compile import CompiledProgram, CompilerOptions, compile_program
@@ -210,6 +211,84 @@ class EntryReport:
         }
 
 
+def record_metrics(
+    metrics,
+    table: ExtensionTable,
+    *,
+    machine: Optional[AbstractMachine] = None,
+    report: Optional[EntryReport] = None,
+    seconds: float = 0.0,
+    since: Optional[Dict[str, int]] = None,
+) -> Dict[str, int]:
+    """Report the analysis core's plain counters as catalogued metrics.
+
+    The machine and the table only count; this is the one place that
+    turns their counters into the names of docs/observability.md.  The
+    driver calls it once per entry spec with the spec's ``machine``,
+    its ``report`` and its wall time.  ``table`` counters are reported
+    net of ``since``, the value an earlier call returned for the same
+    table, so a table that outlives one run (the meta baseline's) ships
+    only what each run added.  Returns the ``since`` for the next call.
+    """
+    counts = {
+        "table.lookups": table.lookups,
+        "table.hits": table.hits,
+        "table.misses": table.lookups - table.hits,
+        "table.updates": table.updates,
+        "table.widenings": table.widenings,
+        "table.entries.created": table.created,
+    }
+    base = since or {}
+    for name, value in counts.items():
+        metrics.counter(name).inc(value - base.get(name, 0))
+    if machine is not None:
+        from ..obs.metrics import opcode_class
+
+        # Splits from the per-address counts: an address belongs to the
+        # predicate whose code region holds it.  The shared service
+        # proceed belongs to none, so its runs are charged to the frames
+        # that ran it; the entry is called once per pass.
+        code = machine.code
+        by_op: Dict[str, int] = {}
+        by_pred: Dict[Indicator, int] = dict(machine.service_proceeds)
+        calls: Dict[Indicator, int] = {report.spec.indicator: machine.iteration}
+        owner = None
+        for address, count in enumerate(machine.address_counts):
+            owner = code.owners.get(address, owner)
+            if not count:
+                continue
+            instruction = code.instructions[address]
+            by_op[instruction.op] = by_op.get(instruction.op, 0) + count
+            if owner is not None:
+                by_pred[owner] = by_pred.get(owner, 0) + count
+            if instruction.op in ("call", "execute"):
+                target = instruction.args[0]
+                calls[target] = calls.get(target, 0) + count
+        if machine.instruction_count:
+            metrics.counter("wam.instructions").inc(machine.instruction_count)
+        for op, count in by_op.items():
+            metrics.counter("wam.instructions.op", op=op).inc(count)
+            metrics.counter(
+                "wam.instructions.class", **{"class": opcode_class(op)}
+            ).inc(count)
+        for name, values in (
+            ("analysis.predicate.instructions", by_pred),
+            ("analysis.predicate.calls", calls),
+        ):
+            for indicator, count in values.items():
+                if count:
+                    metrics.counter(
+                        name, pred=format_indicator(indicator)
+                    ).inc(count)
+        metrics.counter("analysis.unify.calls").inc(machine.unify_calls)
+        metrics.gauge("analysis.frames.peak").set_max(machine.frames_peak)
+        metrics.gauge("wam.trail.peak").set_max(machine.heap.trail_peak)
+        metrics.counter("analysis.iterations").inc(report.iterations)
+        metrics.counter("analysis.specs", status=report.status).inc()
+        metrics.histogram("analysis.entry.seconds").observe(seconds)
+    return counts
+
+
 class Analyzer:
     """Compile a program once, then run analyses against it.
 
@@ -268,11 +347,10 @@ class Analyzer:
         self.budget = budget
         self.fault_plan = fault_plan
         self.on_budget = on_budget
-        #: repro.obs: an optional MetricsRegistry threaded into every
-        #: table and machine this analyzer creates, and an optional
-        #: span tracer for the structural layers (entry spec → pass).
-        #: Both default to None, which keeps every instrumented site a
-        #: single identity check.
+        #: repro.obs: an optional MetricsRegistry that each entry spec's
+        #: counters are recorded into once the spec is done (see
+        #: record_metrics), and an optional span tracer for the
+        #: structural layers (entry spec → pass).  Both default to None.
         self.metrics = metrics
         self.tracer = tracer
         #: With a tracer set and ``trace_states > 0``, emit up to that
@@ -336,9 +414,7 @@ class Analyzer:
             else None
         )
         for spec in specs:
-            spec_table = ExtensionTable(
-                budget=budget, fault_plan=plan, metrics=metrics
-            )
+            spec_table = ExtensionTable(budget=budget, fault_plan=plan)
             report = EntryReport(spec)
             if resume is not None:
                 from ..robust.checkpoint import plant
@@ -353,81 +429,79 @@ class Analyzer:
                 list_aware=self.list_aware, subsumption=self.subsumption,
                 on_undefined=self.on_undefined,
                 budget=budget, fault_plan=plan,
-                metrics=metrics,
             )
             spec_started = time.perf_counter()
             if tracer is not None:
                 span_attrs = {"seeds": report.seeded} if seeds else {}
                 tracer.begin("entry_spec", spec=str(spec), **span_attrs)
             try:
-                while True:
-                    if plan is not None and plan.watches("iteration"):
-                        plan.fire("iteration")
-                    budget.charge_iteration()
-                    report.iterations += 1
-                    if metrics is not None:
-                        metrics.counter("analysis.iterations").inc()
-                    if tracer is not None:
-                        tracer.event(
-                            "fixpoint_iteration",
-                            pass_number=report.iterations,
-                        )
-                    before = spec_table.changes
-                    machine.run_pattern(spec.indicator, spec.pattern)
-                    if dumper is not None:
-                        dumper.dump(
-                            tracer, spec_table,
-                            pattern=str(spec),
-                            pass_number=report.iterations,
-                        )
+                try:
+                    while True:
+                        if plan is not None and plan.watches("iteration"):
+                            plan.fire("iteration")
+                        budget.charge_iteration()
+                        report.iterations += 1
+                        if tracer is not None:
+                            tracer.event(
+                                "fixpoint_iteration",
+                                pass_number=report.iterations,
+                            )
+                        before = spec_table.changes
+                        machine.run_pattern(spec.indicator, spec.pattern)
+                        if dumper is not None:
+                            dumper.dump(
+                                tracer, spec_table,
+                                pattern=str(spec),
+                                pass_number=report.iterations,
+                            )
+                        if checkpoint is not None:
+                            checkpoint.note_pass((table, spec_table))
+                        if spec_table.changes == before:
+                            break
+                except (BudgetExceeded, InjectedFault) as exc:
+                    report.status = STATUS_DEGRADED
+                    report.reason = str(exc)
+                    if self.on_budget == "raise":
+                        if tracer is not None:
+                            tracer.end(error=repr(exc))
+                        raise
+                    # Persist the pre-widening iterate first: after the
+                    # widening below, this spec's partial work would be
+                    # unrecoverable (⊤ entries are never checkpointed).
                     if checkpoint is not None:
-                        checkpoint.note_pass((table, spec_table))
-                    if spec_table.changes == before:
-                        break
-            except (BudgetExceeded, InjectedFault) as exc:
-                if self.on_budget == "raise":
-                    if tracer is not None:
-                        tracer.end(error=repr(exc))
-                    raise
-                # Persist the pre-widening iterate first: after the
-                # widening below, this spec's partial work would be
-                # unrecoverable (⊤ entries are never checkpointed).
-                if checkpoint is not None:
-                    checkpoint.flush((table, spec_table))
-                report.status = STATUS_DEGRADED
-                report.reason = str(exc)
-            except ReproError as exc:
-                if self.on_budget == "raise":
-                    if tracer is not None:
-                        tracer.end(error=repr(exc))
-                    raise
-                report.status = STATUS_FAILED
-                report.reason = str(exc)
-            if tracer is not None:
-                tracer.end(status=report.status)
-            if metrics is not None:
-                metrics.histogram("analysis.entry.seconds").observe(
-                    time.perf_counter() - spec_started
-                )
-                metrics.counter(
-                    "analysis.specs", status=report.status
-                ).inc()
-            if report.status != STATUS_EXACT:
-                # Sound degradation: whatever partial summaries the
-                # interrupted exploration left may under-approximate, so
-                # widen everything this spec touched to ⊤ — including
-                # the entry's own pattern, materialized if need be.
-                # Planted entries the run never reached are dropped
-                # first: widening them would claim facts nothing asked.
-                spec_table.disarm()
-                if planted:
-                    spec_table.drop_unexplored(since=1)
-                spec_table.entry(spec.indicator, spec.pattern)
-                spec_table.widen_to_top(report.status)
-            elif planted:
-                report.dropped = spec_table.drop_unexplored(
-                    since=machine.iteration
-                )
+                        checkpoint.flush((table, spec_table))
+                except ReproError as exc:
+                    report.status = STATUS_FAILED
+                    report.reason = str(exc)
+                    if self.on_budget == "raise":
+                        if tracer is not None:
+                            tracer.end(error=repr(exc))
+                        raise
+                if tracer is not None:
+                    tracer.end(status=report.status)
+                if report.status != STATUS_EXACT:
+                    # Sound degradation: whatever partial summaries the
+                    # interrupted exploration left may under-approximate,
+                    # so widen everything this spec touched to ⊤ —
+                    # including the entry's own pattern, materialized if
+                    # need be.  Planted entries the run never reached are
+                    # dropped first: widening them would claim facts
+                    # nothing asked.
+                    spec_table.disarm()
+                    if planted:
+                        spec_table.drop_unexplored(since=1)
+                    spec_table.entry(spec.indicator, spec.pattern)
+                    spec_table.widen_to_top(report.status)
+                elif planted:
+                    report.dropped = spec_table.drop_unexplored(
+                        since=machine.iteration
+                    )
+            finally:
+                if metrics is not None:
+                    record_metrics(
+                        metrics, spec_table, machine=machine, report=report,
+                        seconds=time.perf_counter() - spec_started,
+                    )
             table.merge(spec_table)
             iterations += report.iterations
             instructions += machine.instruction_count

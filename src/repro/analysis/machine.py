@@ -26,7 +26,7 @@ the fixpoint driver re-runs entry goals until the table stops changing.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..domain.concrete import DEFAULT_DEPTH
 from ..errors import AnalysisError, PrologError
@@ -110,25 +110,18 @@ class AbstractMachine(Machine):
         on_undefined: str = "error",
         budget=None,
         fault_plan=None,
-        metrics=None,
     ):
         super().__init__(compiled, max_steps=max_steps)
         from .builtins import ABSTRACT_BUILTINS
 
         self.table = table if table is not None else ExtensionTable()
-        #: repro.obs: when a registry is supplied the inherited dispatch
-        #: loop switches to its profiled variant, and the abstract-level
-        #: sites below count unifications, table consultations per
-        #: predicate, and the exploration stack's peak depth.  The
-        #: hot-site counters are bound once here so the metrics-on path
-        #: never pays a registry lookup per call.
-        self.metrics = metrics
-        if metrics is not None:
-            self._unify_counter = metrics.counter("analysis.unify.calls")
-            self._frames_peak = metrics.gauge("analysis.frames.peak")
-        else:
-            self._unify_counter = None
-            self._frames_peak = None
+        #: Plain counters the driver reports as metrics once the spec is
+        #: done (record_metrics): abstract unifications, the exploration
+        #: stack's peak depth, and per predicate how often its frame ran
+        #: the shared service proceed (which no predicate's code owns).
+        self.unify_calls = 0
+        self.frames_peak = 0
+        self.service_proceeds: Dict[Indicator, int] = {}
         #: Resource governance (repro.robust): the budget charges one
         #: "step" per dispatched instruction (plus deadline probes), the
         #: fault plan fires "step"/"unify" sites.  The per-instruction
@@ -178,17 +171,8 @@ class AbstractMachine(Machine):
     def _s_unify(self, left: Cell, right: Cell) -> bool:
         if self._unify_fire is not None:
             self._unify_fire("unify")
-        if self._unify_counter is not None:
-            self._unify_counter.inc()
+        self.unify_calls += 1
         return s_unify(self.heap, left, right)
-
-    # ------------------------------------------------------------------
-    # Profiled dispatch: charge instructions to the predicate being
-    # explored (the innermost open frame).
-
-    def _profile_owner(self):
-        frames = self.frames
-        return frames[-1].indicator if frames else None
 
     # ------------------------------------------------------------------
     # Analysis passes.
@@ -230,10 +214,6 @@ class AbstractMachine(Machine):
 
     def _do_call(self, indicator: Indicator, ret: int):
         arity = indicator[1]
-        if self.metrics is not None:
-            self.metrics.counter(
-                "analysis.predicate.calls", pred=format_indicator(indicator)
-            ).inc()
         args = tuple(self.x[1 : arity + 1])
         calling = abstract_cells(
             self.heap, list(args), self.depth, self.list_aware
@@ -306,8 +286,8 @@ class AbstractMachine(Machine):
         frame.heap_mark_post = self.heap.top
         frame.clause_addresses = clause_addresses
         self.frames.append(frame)
-        if self._frames_peak is not None:
-            self._frames_peak.set_max(len(self.frames))
+        if len(self.frames) > self.frames_peak:
+            self.frames_peak = len(self.frames)
         self._enter_clause(frame)
 
     def _find_subsumer(self, indicator: Indicator, calling: Pattern):
@@ -367,6 +347,10 @@ class AbstractMachine(Machine):
             # treat as overall success of the pass.
             return "halt"
         frame = self.frames[-1]
+        if self.pc == PROCEED_ADDRESS:
+            self.service_proceeds[frame.indicator] = (
+                self.service_proceeds.get(frame.indicator, 0) + 1
+            )
         success = abstract_cells(
             self.heap, list(frame.materialized), self.depth, self.list_aware
         )

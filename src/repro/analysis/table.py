@@ -48,38 +48,23 @@ class TableEntry:
 class ExtensionTable:
     """The global memo table of the analysis."""
 
-    def __init__(self, budget=None, fault_plan=None, metrics=None) -> None:
+    def __init__(self, budget=None, fault_plan=None) -> None:
         self._entries: Dict[Indicator, Dict[Pattern, TableEntry]] = {}
         self.changes = 0
+        #: Plain counters, reported as ``table.*`` metrics by the
+        #: driver's record_metrics; a miss is a lookup that is not a hit.
         self.lookups = 0
+        self.hits = 0
+        self.created = 0
         self.updates = 0
         #: Lubs that strictly grew an existing success summary (the
-        #: widening steps of the fixpoint).  Kept as a plain counter —
-        #: like ``changes`` — so state dumps (docs/tracing.md) can show
-        #: it without a metrics registry.
+        #: widening steps of the fixpoint); state dumps show it too.
         self.widenings = 0
         self.size = 0
         #: Optional repro.robust.Budget charged for table growth.
         self.budget = budget
         #: Optional repro.robust.FaultPlan fired on every update.
         self.fault_plan = fault_plan
-        #: repro.obs: the hot-site counters are bound once here, so the
-        #: per-lookup cost with metrics on is one attribute increment.
-        #: With metrics off (the default) each site is one None check.
-        if metrics is not None:
-            self._m_lookups = metrics.counter("table.lookups")
-            self._m_hits = metrics.counter("table.hits")
-            self._m_misses = metrics.counter("table.misses")
-            self._m_updates = metrics.counter("table.updates")
-            self._m_widenings = metrics.counter("table.widenings")
-            self._m_created = metrics.counter("table.entries.created")
-        else:
-            self._m_lookups = None
-            self._m_hits = None
-            self._m_misses = None
-            self._m_updates = None
-            self._m_widenings = None
-            self._m_created = None
 
     def disarm(self) -> None:
         """Drop the governor hooks (used before sound widening, which
@@ -100,17 +85,15 @@ class ExtensionTable:
             by_pattern[calling] = entry
             self.size += 1
             self.changes += 1
-            if self._m_created is not None:
-                self._m_created.inc()
+            self.created += 1
         return entry
 
     def find(self, indicator: Indicator, calling: Pattern) -> Optional[TableEntry]:
         self.lookups += 1
         by_pattern = self._entries.get(indicator)
         entry = by_pattern.get(calling) if by_pattern is not None else None
-        if self._m_lookups is not None:
-            self._m_lookups.inc()
-            (self._m_misses if entry is None else self._m_hits).inc()
+        if entry is not None:
+            self.hits += 1
         return entry
 
     def update(
@@ -128,8 +111,6 @@ class ExtensionTable:
         if self.fault_plan is not None:
             self.fault_plan.fire("table")
         self.updates += 1
-        if self._m_updates is not None:
-            self._m_updates.inc()
         entry = self.entry(indicator, calling)
         new_share = entry.may_share | share_pairs(success) | extra_share
         if entry.success is None:
@@ -144,8 +125,6 @@ class ExtensionTable:
             # share-only growth are not.
             if entry.success is not None and success_changed:
                 self.widenings += 1
-                if self._m_widenings is not None:
-                    self._m_widenings.inc()
             entry.success = merged
             entry.may_share = new_share
             entry.updates += 1
@@ -192,6 +171,7 @@ class ExtensionTable:
             mine.status = worse_status(mine.status, entry.status)
         self.changes += other.changes
         self.lookups += other.lookups
+        self.hits += other.hits
         self.updates += other.updates
         self.widenings += other.widenings
 

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.driver import EntrySpec, parse_entry_spec
+from ..analysis.driver import EntrySpec, parse_entry_spec, record_metrics
 from ..analysis.patterns import Pattern
 from ..analysis.table import ExtensionTable
 from ..domain.concrete import DEFAULT_DEPTH
@@ -99,11 +99,10 @@ class MetaAnalyzer:
         self.on_budget = on_budget
         #: repro.obs: optional MetricsRegistry; each analyze() records
         #: its cost counters under baseline.*{impl=meta} so instruction
-        #: -mix comparisons against the compiled path line up.
+        #: -mix comparisons against the compiled path line up, plus its
+        #: table's table.* counters.
         self.metrics = metrics
-        self.table = ExtensionTable(
-            budget=budget, fault_plan=fault_plan, metrics=metrics
-        )
+        self.table = ExtensionTable(budget=budget, fault_plan=fault_plan)
         self.iteration = 0
         self.goals_interpreted = 0
         self.store_copies = 0
@@ -157,19 +156,25 @@ class MetaAnalyzer:
         self, iterations: int, started: float, status: str
     ) -> MetaResult:
         if self.metrics is not None:
-            # The instance counters are cumulative across analyze()
-            # calls; ship only what this run added.
-            flushed = getattr(self, "_flushed", (0, 0))
+            # The instance and table counters are cumulative across
+            # analyze() calls; ship only what this run added.
+            goals, copies, table_counts = getattr(
+                self, "_flushed", (0, 0, None)
+            )
             self.metrics.counter(
                 "baseline.iterations", impl="meta"
             ).inc(iterations)
             self.metrics.counter(
                 "baseline.goals", impl="meta"
-            ).inc(self.goals_interpreted - flushed[0])
+            ).inc(self.goals_interpreted - goals)
             self.metrics.counter(
                 "baseline.store_copies", impl="meta"
-            ).inc(self.store_copies - flushed[1])
-            self._flushed = (self.goals_interpreted, self.store_copies)
+            ).inc(self.store_copies - copies)
+            self._flushed = (
+                self.goals_interpreted,
+                self.store_copies,
+                record_metrics(self.metrics, self.table, since=table_counts),
+            )
         return MetaResult(
             table=self.table,
             iterations=iterations,

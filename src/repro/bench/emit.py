@@ -290,11 +290,10 @@ def _overhead_microbench(benchmarks, repeats: int) -> dict:
         "metrics_on_ms": round(on * 1000.0, 3),
         "metrics_off_again_ms": round(off_again * 1000.0, 3),
         "trace_off_ms": round(trace_off * 1000.0, 3),
-        #: The opt-in cost of --profile: the per-instruction accounting
-        #: the profiled dispatch loop pays.  Informational.
+        #: The cost of --profile (and of the service's registry): one
+        #: flush of the plain counters per entry spec.  Informational.
         "metrics_on_overhead_percent": round((on - off) / off * 100.0, 2),
-        #: The guarantee: the metrics-off path (one attribute check at
-        #: machine start) is the pre-instrumentation loop verbatim, so
+        #: The guarantee: the metrics-off path runs no metrics code, so
         #: two off passes must time within noise of each other.
         "metrics_off_delta_percent": round(
             abs(off_again - off) / off * 100.0, 2

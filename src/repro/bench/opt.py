@@ -12,8 +12,8 @@ that runs the wrong program measures nothing.
 Two measurements per benchmark, both on the concrete WAM running the
 full benchmark goal:
 
-* **retired instructions** — the ``wam.instructions`` counter from a
-  metrics-on run of each program; the deterministic measure.
+* **retired instructions** — the machine's ``instruction_count`` after
+  a run of each program; the deterministic measure.
 * **wall time** — interleaved rounds (baseline, optimized, baseline,
   ...) with the cyclic GC parked, minimum per configuration; the noisy
   but honest measure.
@@ -36,7 +36,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.driver import analyze
-from ..obs import MetricsRegistry
 from ..opt import goal_entry_specs, optimize_program, validate
 from ..prolog.parser import parse_term
 from ..prolog.program import Program
@@ -57,10 +56,9 @@ def _run_goal(compiled: CompiledProgram, goal: Term) -> None:
 
 def _retired_instructions(compiled: CompiledProgram, goal: Term) -> int:
     machine = Machine(compiled)
-    machine.metrics = MetricsRegistry()
     for _ in machine.run(goal):
         pass
-    return machine.metrics.counter("wam.instructions").value
+    return machine.instruction_count
 
 
 def _geo_mean(values: Sequence[float]) -> float:

@@ -4,8 +4,9 @@ Three pieces:
 
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms in a :class:`MetricsRegistry` with snapshot/delta/merge,
-  designed so that every instrumented component is a no-op when its
-  ``metrics`` attribute is ``None`` (the default everywhere);
+  designed so that metrics off costs nothing: components carry a
+  ``metrics`` attribute defaulting to ``None``, and the analysis core
+  keeps plain counters the driver reports once per entry spec;
 * :mod:`repro.obs.trace` — nested spans and events as JSON lines
   (request → entry spec → fixpoint iteration), togglable via
   ``--trace-out`` on ``repro-analyze`` and ``repro-serve``, with

@@ -2,14 +2,15 @@
 
 Design constraints, in order:
 
-1. **Zero cost when off.**  Every instrumented component carries a
-   ``metrics`` attribute that defaults to ``None``; the instrumentation
-   site is one identity check (``if self.metrics is not None``) or, on
-   the machine's dispatch loop, a branch *outside* the loop selecting
-   the un-instrumented code path verbatim.  ``python -m
-   repro.bench.emit`` measures the disabled path and records it in
-   ``BENCH_obs.json``; ``docs/observability.md`` documents the budget
-   (< 3 %).
+1. **Zero cost when off.**  The analysis core never touches a
+   registry: its one dispatch loop counts instructions per code
+   address, and the machine and extension table keep plain integer
+   counters.  ``repro.analysis.driver.record_metrics`` turns them into
+   metrics once per entry spec, after its fixpoint.  Other components
+   carry a ``metrics`` attribute that defaults to ``None``, and each
+   site is one identity check.  ``python -m repro.bench.emit`` measures
+   the disabled path and records it in ``BENCH_obs.json``;
+   ``docs/observability.md`` documents the budget (< 3 %).
 
 2. **Zero dependencies, process-portable.**  A snapshot is a plain
    JSON-able dict; workers ship snapshot *deltas* up the pipe to the

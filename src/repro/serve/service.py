@@ -97,9 +97,9 @@ class AnalysisService:
         self.config = config if config is not None else ServiceConfig()
         #: repro.obs: the service always carries a registry — per-request
         #: accounting costs a few counter bumps, and the ``metrics`` op /
-        #: ``stats`` snapshot need something to report.  It is threaded
-        #: into every analyzer, table and machine the service creates, so
-        #: the per-instruction and table counters aggregate here too.
+        #: ``stats`` snapshot need something to report.  Every analyzer
+        #: the service creates records each entry spec's instruction and
+        #: table counters into it once the spec is done.
         from ..obs.metrics import MetricsRegistry
 
         self.metrics = MetricsRegistry()

@@ -55,6 +55,9 @@ class Heap:
     def __init__(self) -> None:
         self.cells: List[Cell] = []
         self.trail: List[tuple] = []
+        #: Deepest the trail has been when an undo began (the trail
+        #: only shrinks there, so this is its peak up to the last undo).
+        self.trail_peak = 0
         self.share_parent: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -89,6 +92,8 @@ class Heap:
 
     def undo_to(self, mark: int, heap_mark: Optional[int] = None) -> None:
         """Unwind the trail to ``mark``; optionally truncate the heap."""
+        if len(self.trail) > self.trail_peak:
+            self.trail_peak = len(self.trail)
         while len(self.trail) > mark:
             entry = self.trail.pop()
             if len(entry) == 3:

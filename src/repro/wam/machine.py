@@ -21,7 +21,6 @@ backtracking on demand.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import MachineError, PrologError
@@ -109,8 +108,11 @@ class Machine:
         self.mode = "read"
         self.num_args = 0
         self.max_steps = max_steps
+        #: Instructions dispatched, in total and by code address (index =
+        #: address).  Opcode, class and predicate splits are derived from
+        #: the per-address counts after a run, never during it.
         self.instruction_count = 0
-        self.op_counts: Counter = Counter()
+        self.address_counts: List[int] = []
         #: Slots environment trimming would reclaim (see _trim_environment).
         self.trimmed_slots = 0
         self.output: List[str] = []
@@ -124,12 +126,6 @@ class Machine:
         #: None (no per-step overhead beyond one identity check) when the
         #: machine runs ungoverned.
         self.step_monitor = None
-        #: Optional repro.obs.MetricsRegistry.  When set, the dispatch
-        #: loop switches to _run_profiled, which counts instructions by
-        #: opcode (and by owning predicate, see _profile_owner) and
-        #: tracks the trail's peak depth.  When None — the default — the
-        #: loop in _run_to_event runs with no extra work at all.
-        self.metrics = None
 
     # ------------------------------------------------------------------
     # Register access.
@@ -274,7 +270,8 @@ class Machine:
         return None
 
     def _handlers(self):
-        """Per-address bound handlers (rebuilt when the code area grows)."""
+        """Per-address bound handlers (rebuilt when the code area grows,
+        which also grows the per-address counts)."""
         cached = getattr(self, "_handler_cache", None)
         code = self.code.instructions
         if cached is None or len(cached) != len(code):
@@ -286,141 +283,49 @@ class Machine:
                     raise MachineError(f"unknown opcode {instruction.op}")
                 cached.append(handler)
             self._handler_cache = cached
+            counts = self.address_counts
+            counts.extend([0] * (len(code) - len(counts)))
         return cached
 
     def _run_to_event(self) -> str:
-        """Run until a solution (halt) or global failure."""
-        if self.metrics is not None:
-            return self._run_profiled()
+        """Run until a solution (halt) or global failure.
+
+        Only dispatched instructions are counted: a step refused by the
+        step limit, the budget or a fault plan is not.  The total is
+        synced in ``finally``, so a run a handler aborts still reports
+        what it executed.
+        """
         code = self.code.instructions
         handlers = self._handlers()
+        counts = self.address_counts
         count = self.instruction_count
         limit = self.max_steps
         tracer = self.tracer
         monitor = self.step_monitor
-        while True:
-            count += 1
-            if count > limit:
-                self.instruction_count = count
-                raise PrologError("resource_error", "WAM step limit exceeded")
-            if monitor is not None:
-                try:
-                    monitor()
-                except BaseException:
-                    self.instruction_count = count
-                    raise
-            pc = self.pc
-            if tracer is not None:
-                self.instruction_count = count
-                tracer.record(self, code[pc])
-            outcome = handlers[pc](self, code[pc])
-            if outcome is None:
-                continue
-            if outcome == "halt":
-                self.instruction_count = count
-                return "solution"
-            assert outcome == "fail"
-            if not self.backtrack():
-                self.instruction_count = count
-                return "fail"
-
-    # ------------------------------------------------------------------
-    # Profiled dispatch (repro.obs).
-
-    def _profile_owner(self):
-        """Who the next instruction is charged to in the profile.
-
-        The concrete machine has no per-predicate attribution (there is
-        no exploration stack to consult); the abstract machine overrides
-        this with the innermost open exploration frame's indicator.
-        """
-        return None
-
-    def _run_profiled(self) -> str:
-        """The dispatch loop of _run_to_event plus metric accounting.
-
-        A separate method so that metrics-off runs execute the original
-        loop verbatim.  Per-instruction counts accumulate in local dicts
-        and are flushed to the registry exactly once, in the ``finally``
-        block — including on step-limit or budget aborts, so a degraded
-        run still reports what it executed.
-        """
-        code = self.code.instructions
-        handlers = self._handlers()
-        count = self.instruction_count
-        limit = self.max_steps
-        tracer = self.tracer
-        monitor = self.step_monitor
-        trail = self.heap.trail
-        op_counts: Dict[str, int] = {}
-        owner_counts: Dict[object, int] = {}
-        trail_peak = len(trail)
         try:
             while True:
-                count += 1
-                if count > limit:
-                    self.instruction_count = count
+                if count >= limit:
                     raise PrologError(
                         "resource_error", "WAM step limit exceeded"
                     )
                 if monitor is not None:
-                    try:
-                        monitor()
-                    except BaseException:
-                        self.instruction_count = count
-                        raise
+                    monitor()
                 pc = self.pc
-                instruction = code[pc]
-                op = instruction.op
-                op_counts[op] = op_counts.get(op, 0) + 1
-                owner = self._profile_owner()
-                if owner is not None:
-                    owner_counts[owner] = owner_counts.get(owner, 0) + 1
+                count += 1
+                counts[pc] += 1
                 if tracer is not None:
                     self.instruction_count = count
-                    tracer.record(self, instruction)
-                outcome = handlers[pc](self, instruction)
-                if len(trail) > trail_peak:
-                    trail_peak = len(trail)
+                    tracer.record(self, code[pc])
+                outcome = handlers[pc](self, code[pc])
                 if outcome is None:
                     continue
                 if outcome == "halt":
-                    self.instruction_count = count
                     return "solution"
                 assert outcome == "fail"
                 if not self.backtrack():
-                    self.instruction_count = count
                     return "fail"
         finally:
             self.instruction_count = count
-            self._flush_profile(op_counts, owner_counts, trail_peak)
-
-    def _flush_profile(
-        self,
-        op_counts: Dict[str, int],
-        owner_counts: Dict[object, int],
-        trail_peak: int,
-    ) -> None:
-        from ..obs.metrics import opcode_class
-
-        metrics = self.metrics
-        if metrics is None:  # pragma: no cover - cleared mid-run
-            return
-        total = 0
-        for op, value in op_counts.items():
-            total += value
-            metrics.counter("wam.instructions.op", op=op).inc(value)
-            metrics.counter(
-                "wam.instructions.class", **{"class": opcode_class(op)}
-            ).inc(value)
-        if total:
-            metrics.counter("wam.instructions").inc(total)
-        for owner, value in owner_counts.items():
-            metrics.counter(
-                "analysis.predicate.instructions",
-                pred=format_indicator(owner),
-            ).inc(value)
-        metrics.gauge("wam.trail.peak").set_max(trail_peak)
 
     # ------------------------------------------------------------------
     # put instructions.

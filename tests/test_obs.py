@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.analysis.driver import Analyzer
+from repro.bench.programs import BENCHMARKS
 from repro.obs import (
     Counter,
     Gauge,
@@ -33,6 +34,7 @@ from repro.obs import (
     validate_nesting,
 )
 from repro.prolog.program import Program
+from repro.robust import Budget
 from repro.serve import AnalysisService, ServiceConfig
 
 NREV = """
@@ -228,6 +230,32 @@ class TestAnalysisMetrics:
             _value(snapshot, "table.misses")
         assert _value(snapshot, "analysis.unify.calls") > 0
         assert _value(snapshot, "analysis.frames.peak") >= 1
+
+    @pytest.mark.parametrize(
+        "limits", [{"max_table_entries": 2}, {"max_steps": 50}],
+        ids=["table-trip", "step-trip"],
+    )
+    def test_budget_trip_counts_the_same_with_metrics_on_and_off(
+        self, limits
+    ):
+        # A table trip aborts a handler mid-instruction; a step trip
+        # refuses the next instruction before it is dispatched.  Either
+        # way the count is the instructions dispatched, whether or not
+        # a registry is attached, and the registry reports that count.
+        nreverse = next(b for b in BENCHMARKS if b.name == "nreverse")
+
+        def run(metrics):
+            return Analyzer(
+                nreverse.source, budget=Budget(**limits),
+                on_budget="degrade", metrics=metrics,
+            ).analyze([nreverse.entry])
+
+        registry = MetricsRegistry()
+        off, on = run(None), run(registry)
+        assert off.status == on.status == "degraded"
+        assert off.instructions_executed == on.instructions_executed > 0
+        assert on.instructions_executed == \
+            _value(registry.snapshot(), "wam.instructions")
 
     def test_metrics_never_change_the_result(self):
         plain = Analyzer(Program.from_text(NREV)).analyze([ENTRY])
