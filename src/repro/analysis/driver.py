@@ -124,10 +124,16 @@ def _spec_node(term: Term, counter, var_ids: Dict[int, int]) -> Node:
 
 
 def parse_entry_spec(spec: Union[str, Term, EntrySpec]) -> EntrySpec:
-    """Parse an entry spec like ``"nrev(glist, var)"``."""
+    """Parse an entry spec like ``"nrev(glist, var)"``; anything but
+    text, a term or an :class:`EntrySpec` is an :class:`AnalysisError`."""
     if isinstance(spec, EntrySpec):
         return spec
-    term = parse_term(spec) if isinstance(spec, str) else spec
+    if isinstance(spec, str):
+        term = parse_term(spec)
+    elif isinstance(spec, Term):
+        term = spec
+    else:
+        raise AnalysisError(f"entry spec must be text or a term, not {spec!r}")
     if not term.is_callable():
         raise AnalysisError(f"entry spec is not callable: {term}")
     indicator = indicator_of(term)

@@ -829,7 +829,7 @@ def _run_crash_loop(violations: List[str]) -> dict:
             ServiceConfig(store_dir=tmp, journal=True, checkpoint_every=1),
             SupervisorConfig(
                 workers=1, request_timeout=30.0, grace=0.5,
-                max_retries=0, backoff_base=0.02, crash_loop_threshold=3,
+                max_retries=0, backoff_base=0.02,
             ),
         )
         try:

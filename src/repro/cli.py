@@ -753,7 +753,6 @@ def _serve_command(argv: Optional[Sequence[str]] = None) -> int:
 
     service_config = ServiceConfig(
         depth=arguments.depth,
-        list_aware=True,
         subsumption=arguments.subsumption,
         on_undefined=arguments.on_undefined,
         environment_trimming=not arguments.no_trimming,

@@ -48,6 +48,9 @@ def worse_status(left: str, right: str) -> str:
     return left if _STATUS_RANK[left] >= _STATUS_RANK[right] else right
 
 
+#: The limit dimensions of a :class:`Budget`, in wire order.
+_LIMITS = ("max_steps", "max_iterations", "max_table_entries", "deadline")
+
 #: How many charged steps pass between wall-clock probes; checking
 #: ``time.monotonic`` on every abstract instruction would dominate the
 #: dispatch loop.
@@ -246,10 +249,32 @@ class Budget:
         )
 
     # ------------------------------------------------------------------
+    # The JSON wire form (requests, worker config lines).
+
+    @classmethod
+    def from_wire(cls, spec) -> Optional["Budget"]:
+        """Decode a budget's JSON form: None for ``null`` or ``{}`` (no
+        budget), else the object's limits, a missing one unlimited.
+
+        Raises ``ValueError`` for anything but an object or for a limit
+        out of range, and ``TypeError`` for a non-numeric limit."""
+        if spec is None:
+            return None
+        if not isinstance(spec, dict):
+            raise ValueError(f"budget must be a JSON object, not {spec!r}")
+        if not spec:
+            return None
+        return cls(**{name: spec.get(name) for name in _LIMITS})
+
+    def to_wire(self) -> dict:
+        """The JSON form :meth:`from_wire` decodes back to these limits."""
+        return {name: getattr(self, name) for name in _LIMITS}
+
+    # ------------------------------------------------------------------
 
     def __repr__(self) -> str:
         parts = []
-        for name in ("max_steps", "max_iterations", "max_table_entries", "deadline"):
+        for name in _LIMITS:
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{name}={value}")

@@ -41,7 +41,7 @@ from .fingerprint import (
 from .gateway import ConsistentHashRing, Gateway, GatewayConfig, route_key
 from .pool import Worker, WorkerCrashed, WorkerPool, WorkerTimeout
 from .scheduler import SCCScheduler, ScheduleStats
-from .shard import Shard, ShardConfig, ShardSaturated, shed_response
+from .shard import Shard, ShardSaturated, shed_response
 from .service import (
     HIT,
     INCREMENTAL,
@@ -71,7 +71,6 @@ __all__ = [
     "ScheduleStats",
     "ServiceConfig",
     "Shard",
-    "ShardConfig",
     "ShardSaturated",
     "Supervisor",
     "SupervisorConfig",

@@ -20,14 +20,14 @@ Overload behaviour is the design center — *degrade, don't die*:
    event loop never queues unboundedly and never blocks.
 2. **Budget-based load shedding.**  Between the soft and hard depth
    thresholds the gateway still admits the request but tightens its
-   budget (:meth:`repro.robust.Budget.tightened` with the configured
+   budget (:meth:`repro.robust.Budget.tightened` with the fixed
    degrade budget), so the analysis completes as a sound ⊤-widened
    ``degraded`` response instead of stalling the queue — PR-2's
    degradation contract applied as a load-shedding valve.
-3. **Shard self-healing.**  A shard whose backend breaks respawns with
-   exponential backoff and is warmed up by replaying the gateway's hot
-   request set (see :mod:`repro.serve.shard`); while it rebuilds, its
-   requests shed instead of erroring unstructured.
+3. **Shard self-healing.**  A shard whose backend breaks respawns after
+   the shared restart backoff and is warmed up by replaying the
+   gateway's hot request set (see :mod:`repro.serve.shard`); while it
+   rebuilds, its requests shed instead of erroring unstructured.
 4. **Graceful drain.**  Shutdown stops accepting connections, lets
    every admitted request finish (up to ``drain`` policy), then closes
    the shards.
@@ -55,9 +55,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..robust import Budget
 from .service import MAX_REQUEST_LINE, ServiceConfig
-from .shard import Shard, ShardConfig, ShardSaturated, shed_response
+from .shard import Shard, ShardSaturated, shed_response
 
-_BUDGET_FIELDS = ("max_steps", "max_iterations", "max_table_entries", "deadline")
+#: Budget forced onto requests admitted at or above the degrade depth —
+#: tight enough that an overloaded shard answers with a sound ⊤-widened
+#: degraded result instead of queueing real work.
+DEGRADE_MAX_STEPS = 2048
+DEGRADE_MAX_ITERATIONS = 4
+DEGRADE_DEADLINE = 1.0
+
+#: Virtual points per shard on the hash ring.
+HASH_REPLICAS = 64
+
+#: Hot analyze requests remembered for shard warm-up.
+WARM_SET_SIZE = 32
+
+#: Wall-clock bound in seconds for fan-out ops (stats/metrics/invalidate).
+FANOUT_TIMEOUT = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -67,19 +81,19 @@ _BUDGET_FIELDS = ("max_steps", "max_iterations", "max_table_entries", "deadline"
 class ConsistentHashRing:
     """A classic consistent-hash ring over shard ids.
 
-    Each shard contributes ``replicas`` virtual points placed by
+    Each shard contributes :data:`HASH_REPLICAS` virtual points placed by
     SHA-256 (stable across processes and ``PYTHONHASHSEED``); a key is
     owned by the first point clockwise from its own hash.  With one
     shard added or removed only ~1/N of the keyspace moves — the
     property that keeps per-shard stores warm across topology changes.
     """
 
-    def __init__(self, shard_ids: Sequence[int], replicas: int = 64):
+    def __init__(self, shard_ids: Sequence[int]):
         if not shard_ids:
             raise ValueError("ring needs at least one shard")
         points: List[Tuple[int, int]] = []
         for shard_id in shard_ids:
-            for replica in range(replicas):
+            for replica in range(HASH_REPLICAS):
                 points.append(
                     (self._hash(f"shard:{shard_id}:{replica}"), shard_id)
                 )
@@ -167,24 +181,9 @@ class GatewayConfig:
     #: Soft threshold: at this queued depth and above, admitted
     #: requests get the degrade budget (None = queue_depth // 2).
     degrade_depth: Optional[int] = None
-    #: Budget forced onto requests admitted above ``degrade_depth`` —
-    #: tight enough that an overloaded shard answers with a sound
-    #: ⊤-widened degraded result instead of queueing real work.
-    degrade_max_steps: int = 2048
-    degrade_max_iterations: int = 4
-    degrade_deadline: float = 1.0
-    #: Per-request wall-clock cap used for queue-lapse shedding when
-    #: the request carries no deadline of its own (None = no default).
-    request_deadline: Optional[float] = None
     #: Longest accepted request line; longer lines are drained and
     #: answered with a structured error.
     max_line_bytes: int = MAX_REQUEST_LINE
-    #: Virtual points per shard on the hash ring.
-    hash_replicas: int = 64
-    #: Hot analyze requests remembered for shard warm-up.
-    warm_set_size: int = 32
-    #: Wall-clock bound for fan-out ops (stats/metrics/invalidate).
-    fanout_timeout: float = 30.0
     #: Per-request timeout forwarded to each shard's supervisor.
     request_timeout: Optional[float] = None
     max_retries: int = 2
@@ -197,7 +196,6 @@ class Gateway:
         self,
         config: Optional[GatewayConfig] = None,
         service_config: Optional[ServiceConfig] = None,
-        shard_config: Optional[ShardConfig] = None,
         fault_plans: Optional[Dict[int, object]] = None,
         backend_factory=None,
         tracer=None,
@@ -211,7 +209,6 @@ class Gateway:
         self.service_config = (
             service_config if service_config is not None else ServiceConfig()
         )
-        self._shard_config = shard_config
         self._fault_plans = fault_plans or {}
         self._backend_factory = backend_factory or self._default_backend
         self.metrics = MetricsRegistry()
@@ -261,14 +258,12 @@ class Gateway:
         #: dispatch threads read it during warm-up.
         self._hot: "OrderedDict[str, dict]" = OrderedDict()
         self._hot_lock = Lock()
-        self.ring = ConsistentHashRing(
-            range(self.config.shards), replicas=self.config.hash_replicas
-        )
+        self.ring = ConsistentHashRing(range(self.config.shards))
         self.shards = [
             Shard(
                 shard_id,
                 self._backend_factory,
-                config=self._shard_config_for(),
+                queue_depth=self.config.queue_depth,
                 warm_requests=self._hot_requests_for,
                 metrics=self.metrics,
                 tracer=(
@@ -281,11 +276,6 @@ class Gateway:
 
     # ------------------------------------------------------------------
     # Shard construction.
-
-    def _shard_config_for(self) -> ShardConfig:
-        if self._shard_config is not None:
-            return self._shard_config
-        return ShardConfig(queue_depth=self.config.queue_depth)
 
     def _default_backend(self, shard_id: int):
         """One backend per shard: a Supervisor with its own worker pool
@@ -348,7 +338,7 @@ class Gateway:
         with self._hot_lock:
             self._hot[key] = payload
             self._hot.move_to_end(key)
-            while len(self._hot) > self.config.warm_set_size:
+            while len(self._hot) > WARM_SET_SIZE:
                 self._hot.popitem(last=False)
 
     # ------------------------------------------------------------------
@@ -406,7 +396,7 @@ class Gateway:
             try:
                 await asyncio.wait_for(
                     asyncio.gather(*tasks, return_exceptions=True),
-                    self.config.fanout_timeout,
+                    FANOUT_TIMEOUT,
                 )
             except asyncio.TimeoutError:
                 pass
@@ -583,42 +573,34 @@ class Gateway:
         )
         return response
 
-    def _deadline_of(self, request: dict) -> Optional[float]:
+    @staticmethod
+    def _deadline_of(request: dict) -> Optional[float]:
         spec = request.get("budget")
         if isinstance(spec, dict) and spec.get("deadline") is not None:
             try:
                 return float(spec["deadline"])
             except (TypeError, ValueError):
-                return self.config.request_deadline
-        return self.config.request_deadline
+                pass
+        return None
 
     def _degrade_depth(self) -> int:
         if self.config.degrade_depth is not None:
             return self.config.degrade_depth
         return max(1, self.config.queue_depth // 2)
 
-    def _degrade_budget(self) -> Budget:
-        return Budget(
-            max_steps=self.config.degrade_max_steps,
-            max_iterations=self.config.degrade_max_iterations,
-            deadline=self.config.degrade_deadline,
-        )
-
-    def _tighten_for_shedding(self, request: dict) -> dict:
+    @staticmethod
+    def _tighten_for_shedding(request: dict) -> dict:
         """The request with its budget tightened to the degrade budget
-        (per-dimension minimum — a request can only get *stricter*)."""
+        (per-dimension minimum — a request can only get *stricter*).
+        Raises ``ValueError`` for a budget that is not an object."""
         payload = dict(request)
-        spec = payload.get("budget")
-        requested = None
-        if isinstance(spec, dict):
-            requested = Budget(**{
-                name: spec.get(name) for name in _BUDGET_FIELDS
-            })
-        effective = self._degrade_budget().tightened(requested)
-        payload["budget"] = {
-            name: getattr(effective, name) for name in _BUDGET_FIELDS
-            if getattr(effective, name) is not None
-        }
+        degrade = Budget(
+            max_steps=DEGRADE_MAX_STEPS,
+            max_iterations=DEGRADE_MAX_ITERATIONS,
+            deadline=DEGRADE_DEADLINE,
+        )
+        effective = degrade.tightened(Budget.from_wire(payload.get("budget")))
+        payload["budget"] = effective.to_wire()
         payload.setdefault("on_budget", "degrade")
         return payload
 
@@ -703,15 +685,14 @@ class Gateway:
         timeout; ``None`` when the shard cannot answer in time."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        timeout = self.config.fanout_timeout
         try:
             shard.submit(
-                dict(request), future, loop, time.monotonic() + timeout
+                dict(request), future, loop, time.monotonic() + FANOUT_TIMEOUT
             )
         except Exception:  # noqa: BLE001 — saturated or draining
             return None
         try:
-            return await asyncio.wait_for(future, timeout + 1.0)
+            return await asyncio.wait_for(future, FANOUT_TIMEOUT + 1.0)
         except asyncio.TimeoutError:
             return None
 

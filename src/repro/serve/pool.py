@@ -17,6 +17,9 @@ A :class:`WorkerPool` keeps ``size`` slots, hands out live workers
 round-robin, respawns crashed slots lazily with per-slot exponential
 backoff (a slot that keeps dying waits longer and longer before it
 burns another fork), and reaps everything on :meth:`WorkerPool.close`.
+:func:`respawn_backoff` is the serve stack's one restart policy: the
+pool sleeps through it before respawning a slot, and
+:class:`~repro.serve.shard.Shard` before rebuilding its backend.
 
 Failure surface, as exceptions (both :class:`~repro.errors.ReproError`
 subclasses so CLI guards already catch them):
@@ -41,6 +44,19 @@ import time
 from typing import List, Optional, Tuple
 
 from ..errors import ReproError
+
+
+#: Longest respawn backoff in seconds, whatever the strike count.
+BACKOFF_CAP = 1.0
+
+
+def respawn_backoff(strikes: int, base: float = 0.05) -> None:
+    """Sleep before a respawn that follows ``strikes`` consecutive
+    failures: ``base * 2^(strikes-1)`` seconds, capped at
+    :data:`BACKOFF_CAP`; no sleep at zero strikes.  Callers keep their
+    own strike counts and reset them on success."""
+    if strikes:
+        time.sleep(min(BACKOFF_CAP, base * 2 ** (strikes - 1)))
 
 
 class WorkerCrashed(ReproError):
@@ -88,7 +104,11 @@ class Worker:
             target=self._drain_stdout, daemon=True
         )
         self._reader.start()
-        self._send_line(json.dumps(config_wire, sort_keys=True))
+        try:
+            self._send_line(json.dumps(config_wire, sort_keys=True))
+        except WorkerCrashed:
+            self.kill()
+            raise
 
     # ------------------------------------------------------------------
 
@@ -203,14 +223,12 @@ class WorkerPool:
         config_wire: dict,
         size: int = 2,
         backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
     ):
         if size < 1:
             raise ValueError("pool size must be >= 1")
         self.config_wire = config_wire
         self.size = size
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self._workers: List[Optional[Worker]] = [None] * size
         #: Consecutive crashes per slot; reset on any success.
         self._strikes = [0] * size
@@ -223,21 +241,22 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def _spawn(self, slot: int) -> Worker:
-        strikes = self._strikes[slot]
-        if strikes:
-            # Exponential backoff before burning another fork on a slot
-            # that keeps dying: base * 2^(strikes-1), capped.
-            time.sleep(min(
-                self.backoff_cap, self.backoff_base * (2 ** (strikes - 1))
-            ))
-        worker = Worker(self.config_wire, slot=slot)
+        respawn_backoff(self._strikes[slot], self.backoff_base)
+        try:
+            worker = Worker(self.config_wire, slot=slot)
+        except (OSError, WorkerCrashed):
+            # A worker that fails to start (fork refused, pipe broken
+            # before the config line) strikes its slot like a crash.
+            self.report_crash(slot)
+            raise
         self._workers[slot] = worker
         self.spawned += 1
         return worker
 
     def checkout(self) -> Tuple[int, Worker]:
         """The next slot's live worker (round-robin), spawning or
-        respawning as needed."""
+        respawning as needed.  A failed spawn raises ``OSError`` or
+        :class:`WorkerCrashed` after striking the slot."""
         if self.closed:
             raise ReproError("worker pool is closed")
         slot = self._next_slot
@@ -299,4 +318,10 @@ class WorkerPool:
         }
 
 
-__all__ = ["Worker", "WorkerCrashed", "WorkerPool", "WorkerTimeout"]
+__all__ = [
+    "Worker",
+    "WorkerCrashed",
+    "WorkerPool",
+    "WorkerTimeout",
+    "respawn_backoff",
+]

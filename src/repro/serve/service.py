@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.codec import entry_from_json, table_to_json
 from ..analysis.driver import Analyzer, Seed, parse_entry_spec
 from ..errors import ReproError
 from ..prolog.library import with_library
@@ -51,12 +52,7 @@ from .fingerprint import (
     request_fingerprint,
 )
 from .scheduler import SCCScheduler
-from .store import (
-    DiskStore,
-    ResultStore,
-    entry_from_json,
-    table_to_json,
-)
+from .store import DiskStore, ResultStore
 
 #: Cache outcome of one analyze request.
 HIT = "hit"           # full-result fingerprint match; no fixpoint ran
@@ -69,7 +65,6 @@ class ServiceConfig:
     """Server-wide settings; per-request knobs may tighten, not loosen."""
 
     depth: int = 4
-    list_aware: bool = True
     subsumption: bool = False
     on_undefined: str = "error"
     environment_trimming: bool = True
@@ -210,15 +205,7 @@ class AnalysisService:
     def _budget_for(self, request: dict) -> Optional[Budget]:
         """The request's effective budget: server caps tightened by the
         request's own limits; a fresh object every time."""
-        spec = request.get("budget")
-        requested = None
-        if spec:
-            requested = Budget(
-                max_steps=spec.get("max_steps"),
-                max_iterations=spec.get("max_iterations"),
-                max_table_entries=spec.get("max_table_entries"),
-                deadline=spec.get("deadline"),
-            )
+        requested = Budget.from_wire(request.get("budget"))
         base = self.config.budget
         if base is not None:
             return base.tightened(requested)
@@ -259,7 +246,6 @@ class AnalysisService:
         config = self.config
         return config_fingerprint(
             depth=config.depth,
-            list_aware=config.list_aware,
             subsumption=config.subsumption,
             on_undefined=config.on_undefined,
             environment_trimming=config.environment_trimming,
@@ -392,7 +378,6 @@ class AnalysisService:
         analyzer = Analyzer(
             compiled,
             depth=config.depth,
-            list_aware=config.list_aware,
             subsumption=config.subsumption,
             on_undefined=config.on_undefined,
             budget=budget,

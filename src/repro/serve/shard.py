@@ -23,12 +23,11 @@ Robustness contract:
   (a closed pool, an interpreter-level fault — request-level failures
   come back as ``{"ok": false}`` and don't count) marks the shard
   unhealthy; the dispatch thread rebuilds the backend before the next
-  request with per-shard exponential backoff (the same
-  ``base * 2^(strikes-1)`` discipline as
-  :class:`~repro.serve.pool.WorkerPool`), replays the gateway's hot
-  requests through the fresh backend so hot fingerprints are served
-  warm again, and keeps going.  Strikes reset on the next healthy
-  response.
+  request after :func:`~repro.serve.pool.respawn_backoff` (the same
+  restart policy :class:`~repro.serve.pool.WorkerPool` uses, driven by
+  the shard's own strike count), replays the gateway's hot requests
+  through the fresh backend so hot fingerprints are served warm again,
+  and keeps going.  Strikes reset on the next healthy response.
 * **Graceful drain.**  :meth:`Shard.close` with ``drain=True`` lets
   every already-admitted request finish before the backend is closed;
   ``drain=False`` sheds the queue instead.
@@ -39,10 +38,10 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..errors import ReproError
+from .pool import respawn_backoff
 
 
 class ShardSaturated(ReproError):
@@ -51,6 +50,12 @@ class ShardSaturated(ReproError):
 
 #: Sentinel that tells the dispatch thread to exit once reached.
 _CLOSE = object()
+
+#: Seconds to wait for the dispatch thread on close.
+CLOSE_TIMEOUT = 30.0
+
+#: EWMA smoothing for per-request latency (deadline estimation).
+LATENCY_ALPHA = 0.2
 
 
 def shed_response(
@@ -86,21 +91,6 @@ def shed_response(
     return response
 
 
-@dataclass
-class ShardConfig:
-    """Per-shard queue and respawn policy."""
-
-    #: Hard admission cap: requests beyond this depth are shed.
-    queue_depth: int = 64
-    #: Exponential-backoff respawn discipline (matches WorkerPool).
-    respawn_backoff_base: float = 0.05
-    respawn_backoff_cap: float = 2.0
-    #: Seconds to wait for the dispatch thread on close.
-    close_timeout: float = 30.0
-    #: EWMA smoothing for per-request latency (deadline estimation).
-    latency_alpha: float = 0.2
-
-
 class Shard:
     """A bounded-queue, self-healing front for one backend."""
 
@@ -108,13 +98,14 @@ class Shard:
         self,
         shard_id: int,
         backend_factory: Callable[[int], object],
-        config: Optional[ShardConfig] = None,
+        queue_depth: int,
         warm_requests: Optional[Callable[[int], List[dict]]] = None,
         metrics=None,
         tracer=None,
     ):
         self.shard_id = shard_id
-        self.config = config if config is not None else ShardConfig()
+        #: Hard admission cap: requests beyond this depth are shed.
+        self.queue_depth = queue_depth
         self._backend_factory = backend_factory
         #: Gateway-provided provider of hot requests to replay through a
         #: freshly respawned backend (store warm-up).
@@ -129,9 +120,7 @@ class Shard:
         #: gateway — and the context is re-pointed at that span before
         #: the backend sees it (docs/tracing.md).
         self.tracer = tracer
-        self._queue: "queue.Queue" = queue.Queue(
-            maxsize=self.config.queue_depth
-        )
+        self._queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self._backend = None
         self._healthy = False
         self._strikes = 0
@@ -182,7 +171,7 @@ class Shard:
         except queue.Full:
             raise ShardSaturated(
                 f"shard {self.shard_id} queue is full "
-                f"({self.config.queue_depth} deep)"
+                f"({self.queue_depth} deep)"
             ) from None
 
     def close(self, drain: bool = True) -> None:
@@ -196,7 +185,7 @@ class Shard:
         self._draining = True
         self._shed_on_close = not drain
         self._queue.put(_CLOSE)
-        self._thread.join(timeout=self.config.close_timeout)
+        self._thread.join(timeout=CLOSE_TIMEOUT)
         self._close_backend()
 
     # ------------------------------------------------------------------
@@ -274,10 +263,10 @@ class Shard:
                 if isinstance(response, dict):
                     response.pop("_spans", None)
             elapsed = time.perf_counter() - started
-            alpha = self.config.latency_alpha
             self.ewma_seconds = (
                 elapsed if self.served == 0
-                else (1.0 - alpha) * self.ewma_seconds + alpha * elapsed
+                else (1.0 - LATENCY_ALPHA) * self.ewma_seconds
+                + LATENCY_ALPHA * elapsed
             )
             self.served += 1
             self._strikes = 0
@@ -310,15 +299,7 @@ class Shard:
         if self._healthy and self._backend is not None:
             return True
         respawning = self._backend is not None or self.spawned > 0
-        if self._strikes:
-            # The pool.py backoff discipline: a shard that keeps dying
-            # waits base * 2^(strikes-1) (capped) before it burns
-            # another backend build.
-            time.sleep(min(
-                self.config.respawn_backoff_cap,
-                self.config.respawn_backoff_base
-                * (2 ** (self._strikes - 1)),
-            ))
+        respawn_backoff(self._strikes)
         self._close_backend()
         try:
             self._backend = self._backend_factory(self.shard_id)
@@ -385,4 +366,4 @@ class Shard:
         }
 
 
-__all__ = ["Shard", "ShardConfig", "ShardSaturated", "shed_response"]
+__all__ = ["Shard", "ShardSaturated", "shed_response"]

@@ -28,9 +28,9 @@ at any time).  Serialization of patterns round-trips through plain JSON
 The disk layer is **self-healing**: every entry file carries a SHA-256
 checksum of its canonical value text, verified on load; corrupt, torn
 or unreadable files are moved to a ``quarantine/`` subdirectory (never
-propagated to the caller — a quarantined entry is a cache miss, and
-soundness rests on the scheduler's verification sweep anyway, so the
-cost is only performance).  With ``journal=True`` a write-ahead journal
+propagated to the caller — a quarantined entry is a cache miss, so the
+cost is only performance; exact answers rest on the fingerprint keys
+and these checksums, see :mod:`repro.serve.service`).  With ``journal=True`` a write-ahead journal
 (``journal.jsonl``) records each put before the entry file is written;
 on startup the journal is replayed — entries whose files are missing or
 fail their checksum are rewritten from the journal — then truncated.  A
@@ -45,21 +45,6 @@ import json
 import os
 from collections import OrderedDict
 from typing import Optional
-
-# The JSON codecs moved to repro.analysis.codec (the checkpoint layer
-# needs them without importing the serve package); re-exported here so
-# existing importers keep working.
-from ..analysis.codec import (  # noqa: F401  (re-exports)
-    entry_from_json,
-    entry_to_json,
-    node_from_json,
-    node_to_json,
-    pattern_from_json,
-    pattern_to_json,
-    table_to_json,
-    tree_from_json,
-    tree_to_json,
-)
 
 
 # ----------------------------------------------------------------------
@@ -261,9 +246,8 @@ class DiskStore:
     are sanitized anyway so a corrupt key cannot escape the directory.
     Every entry file is a record ``{"key", "sha256", "value"}`` where the
     digest covers the canonical (sorted-keys) serialization of the value;
-    a file that is unreadable, torn, or fails its checksum is moved to
-    ``quarantine/`` and behaves as a miss.  Pre-checksum (unwrapped)
-    payload files from older stores are still readable.
+    a file that is unreadable, torn, not such a record, or fails its
+    checksum is moved to ``quarantine/`` and behaves as a miss.
 
     With ``journal=True``, each put appends the full record to
     ``journal.jsonl`` (flushed) *before* the entry file is written, so a
@@ -341,24 +325,22 @@ class DiskStore:
         )
 
     def _verify(self, data):
-        """The value inside a parsed record, or None when the checksum
-        fails; unwrapped legacy payloads pass through unchecked."""
-        if (
+        """The value inside a parsed record, or None when ``data`` is
+        not a complete record or its checksum fails."""
+        if not (
             isinstance(data, dict)
             and "sha256" in data
             and "value" in data
             and "key" in data
         ):
-            text = json.dumps(data["value"], sort_keys=True)
-            if _checksum(text) != data["sha256"]:
-                self.checksum_failures += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "serve.store.checksum_failures"
-                    ).inc()
-                return None
-            return data["value"]
-        return data  # pre-checksum store format
+            return None
+        text = json.dumps(data["value"], sort_keys=True)
+        if _checksum(text) != data["sha256"]:
+            self.checksum_failures += 1
+            if self.metrics is not None:
+                self.metrics.counter("serve.store.checksum_failures").inc()
+            return None
+        return data["value"]
 
     def _quarantine(self, path: str) -> None:
         """Move a damaged file out of the way instead of crashing or
@@ -566,16 +548,4 @@ class DiskStore:
         }
 
 
-__all__ = [
-    "DiskStore",
-    "ResultStore",
-    "entry_from_json",
-    "entry_to_json",
-    "node_from_json",
-    "node_to_json",
-    "pattern_from_json",
-    "pattern_to_json",
-    "table_to_json",
-    "tree_from_json",
-    "tree_to_json",
-]
+__all__ = ["DiskStore", "ResultStore"]

@@ -15,11 +15,13 @@ in a worker subprocess from a :class:`~repro.serve.pool.WorkerPool`:
   same request would wedge the replacement too.
 
 * **Bounded retry with backoff.**  A worker that *dies* (segfault, OOM
-  kill, injected SIGKILL) before responding is retriable: analysis is a
-  pure function of the request, so the supervisor respawns and retries
-  up to ``max_retries`` times with exponential backoff, then answers
-  with a structured *retriable* error.  Either way the next request
-  finds a fresh worker — a crash never takes the service down.
+  kill, injected SIGKILL) before responding, or fails to start at all
+  (a refused fork), is retriable: analysis is a pure function of the
+  request, so the supervisor respawns and retries up to
+  ``max_retries`` times — the pool sleeps through
+  :func:`~repro.serve.pool.respawn_backoff` before each respawn — then
+  answers with a structured *retriable* error.  Either way the next
+  request finds a fresh worker — a crash never takes the service down.
 
 * **Resume-on-retry.**  Workers ship interim
   ``{"_interim": "checkpoint", ...}`` lines while a fixpoint runs (see
@@ -32,11 +34,13 @@ in a worker subprocess from a :class:`~repro.serve.pool.WorkerPool`:
 
 * **Crash-loop containment.**  A request whose workers keep dying
   *without advancing the checkpoint cursor* is a poison pill, not bad
-  luck: after ``crash_loop_threshold`` consecutive no-progress crashes
-  the request is quarantined and answered — now and on every identical
-  resubmission — with a structured *non-retriable* ``"crash-loop"``
-  error instead of burning more forks.  Any cursor advance or success
-  resets the strike count; ``invalidate`` clears the quarantine.
+  luck: after :data:`CRASH_LOOP_THRESHOLD` consecutive no-progress
+  crashes the request is quarantined and answered — now and on every
+  identical resubmission — with a structured *non-retriable*
+  ``"crash-loop"`` error instead of burning more forks.  Any cursor
+  advance or success resets the strike count; ``invalidate`` clears the
+  quarantine.  A failed spawn never strikes: the request did not reach
+  a worker.
 
 Error responses carry machine-readable classification::
 
@@ -76,6 +80,10 @@ from .pool import WorkerCrashed, WorkerPool, WorkerTimeout
 from .service import ServiceConfig
 from .worker import config_to_wire
 
+#: Consecutive worker crashes *without checkpoint-cursor advance* before
+#: a request is quarantined as a crash loop.
+CRASH_LOOP_THRESHOLD = 3
+
 
 @dataclass
 class SupervisorConfig:
@@ -92,15 +100,12 @@ class SupervisorConfig:
     grace: float = 1.0
     #: Crash retries per request (0 = fail fast on the first crash).
     max_retries: int = 2
+    #: Respawn backoff base (see :func:`~repro.serve.pool.respawn_backoff`).
     backoff_base: float = 0.05
-    backoff_cap: float = 1.0
     #: Wall-clock bound on a request's *whole retry chain* (all attempts
     #: plus backoff), while ``request_timeout`` bounds each attempt.
     #: None: the chain is bounded only by max_retries.
     cumulative_timeout: Optional[float] = None
-    #: Consecutive worker crashes *without checkpoint-cursor advance*
-    #: before a request is quarantined as a crash loop.
-    crash_loop_threshold: int = 3
 
 
 class Supervisor:
@@ -122,7 +127,6 @@ class Supervisor:
             config_to_wire(self.service_config),
             size=self.config.workers,
             backoff_base=self.config.backoff_base,
-            backoff_cap=self.config.backoff_cap,
         )
         self.requests_served = 0
         self.retries = 0
@@ -178,7 +182,10 @@ class Supervisor:
         candidates = []
         spec = request.get("budget")
         if isinstance(spec, dict) and spec.get("deadline") is not None:
-            candidates.append(float(spec["deadline"]))
+            try:
+                candidates.append(float(spec["deadline"]))
+            except (TypeError, ValueError):
+                pass  # the worker answers the malformed budget
         server = self.service_config.budget
         if server is not None and server.deadline is not None:
             candidates.append(server.deadline)
@@ -296,17 +303,23 @@ class Supervisor:
                 payload["resume"] = snapshot
                 self.metrics.counter("resume.wire_attached").inc()
             cursor_before = progress["cursor"]
-            slot, worker = self.pool.checkout()
             tracer = self.tracer
-            if tracer is not None:
-                # One span per attempt.  A worker that answers ships its
-                # own spans (absorbed below) nested under this one; a
-                # worker that dies ships nothing, and ending the attempt
-                # span ``aborted`` is the explicit tombstone that keeps
-                # the stitched tree whole (docs/tracing.md).
-                tracer.begin("worker.attempt", attempt=attempts, slot=slot)
-                payload["_trace"] = tracer.current_context()
+            slot = None
             try:
+                # A closed pool raises ReproError out of here; a failed
+                # spawn raises OSError or WorkerCrashed with slot unset.
+                slot, worker = self.pool.checkout()
+                if tracer is not None:
+                    # One span per attempt.  A worker that answers ships
+                    # its own spans (absorbed below) nested under this
+                    # one; a worker that dies ships nothing, and ending
+                    # the attempt span ``aborted`` is the explicit
+                    # tombstone that keeps the stitched tree whole
+                    # (docs/tracing.md).
+                    tracer.begin(
+                        "worker.attempt", attempt=attempts, slot=slot
+                    )
+                    payload["_trace"] = tracer.current_context()
                 response = worker.request(
                     payload, timeout, on_interim=note_interim
                 )
@@ -328,38 +341,46 @@ class Supervisor:
                         "worker killed (SIGKILL)"
                     ),
                 )
-            except WorkerCrashed as error:
-                if tracer is not None:
-                    tracer.end(aborted=True, error_kind="worker-crash")
-                    self.metrics.counter("trace.aborted.synthesized").inc()
-                self.crashes_survived += 1
-                self.metrics.counter("serve.worker.crashes").inc()
-                self.metrics.counter("serve.worker.respawns").inc()
-                self.pool.report_crash(slot)
-                # An injected kill fired; the retry must run clean.
-                payload.pop("_chaos", None)
-                if progress["cursor"] > cursor_before:
-                    # The crashed attempt still moved the fixpoint
-                    # forward — that is not a loop, it is progress.
-                    self._strikes[key] = 0
-                else:
-                    strikes = self._strikes.get(key, 0) + 1
-                    self._strikes[key] = strikes
-                    if strikes >= self.config.crash_loop_threshold:
-                        message = (
-                            f"crash loop: {strikes} consecutive worker "
-                            "crashes with no fixpoint progress; request "
-                            "quarantined"
-                        )
-                        self._quarantine[key] = message
-                        self.metrics.counter("serve.worker.crash_loops").inc()
-                        return self._error_response(
-                            request,
-                            kind="crash-loop",
-                            retriable=False,
-                            attempts=attempts,
-                            message=message,
-                        )
+            except (OSError, WorkerCrashed) as error:
+                # With slot unset the spawn failed and the pool already
+                # struck the slot; the request never reached a worker,
+                # so it earns no crash-loop strike.
+                if slot is not None:
+                    if tracer is not None:
+                        tracer.end(aborted=True, error_kind="worker-crash")
+                        self.metrics.counter(
+                            "trace.aborted.synthesized"
+                        ).inc()
+                    self.crashes_survived += 1
+                    self.metrics.counter("serve.worker.crashes").inc()
+                    self.metrics.counter("serve.worker.respawns").inc()
+                    self.pool.report_crash(slot)
+                    # An injected kill fired; the retry must run clean.
+                    payload.pop("_chaos", None)
+                    if progress["cursor"] > cursor_before:
+                        # The crashed attempt still moved the fixpoint
+                        # forward — that is not a loop, it is progress.
+                        self._strikes[key] = 0
+                    else:
+                        strikes = self._strikes.get(key, 0) + 1
+                        self._strikes[key] = strikes
+                        if strikes >= CRASH_LOOP_THRESHOLD:
+                            message = (
+                                f"crash loop: {strikes} consecutive "
+                                "worker crashes with no fixpoint "
+                                "progress; request quarantined"
+                            )
+                            self._quarantine[key] = message
+                            self.metrics.counter(
+                                "serve.worker.crash_loops"
+                            ).inc()
+                            return self._error_response(
+                                request,
+                                kind="crash-loop",
+                                retriable=False,
+                                attempts=attempts,
+                                message=message,
+                            )
                 cumulative = self.config.cumulative_timeout
                 if (
                     cumulative is not None
@@ -448,7 +469,16 @@ class Supervisor:
         response = {"ok": True, "op": request.get("op")}
         workers = self.pool.workers()
         if not workers:
-            workers = [self.pool.checkout()]
+            try:
+                workers = [self.pool.checkout()]
+            except (OSError, WorkerCrashed) as error:
+                return self._error_response(
+                    request,
+                    kind="worker-crash",
+                    retriable=True,
+                    attempts=1,
+                    message=str(error),
+                )
         for slot, worker in workers:
             try:
                 answer = worker.request(dict(request), self._timeout_for(request))

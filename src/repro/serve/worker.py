@@ -67,7 +67,6 @@ from .service import AnalysisService, ServiceConfig
 
 _CONFIG_FIELDS = (
     "depth",
-    "list_aware",
     "subsumption",
     "on_undefined",
     "environment_trimming",
@@ -79,31 +78,20 @@ _CONFIG_FIELDS = (
     "checkpoint_every",
 )
 
-_BUDGET_FIELDS = ("max_steps", "max_iterations", "max_table_entries", "deadline")
-
 
 def config_to_wire(config: ServiceConfig) -> dict:
     """A JSON-safe dict that :func:`config_from_wire` reverses."""
     wire = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     budget = config.budget
-    wire["budget"] = (
-        {name: getattr(budget, name) for name in _BUDGET_FIELDS}
-        if budget is not None
-        else None
-    )
+    wire["budget"] = budget.to_wire() if budget is not None else None
     return wire
 
 
 def config_from_wire(wire: dict) -> ServiceConfig:
-    config = ServiceConfig(
-        **{name: wire[name] for name in _CONFIG_FIELDS if name in wire}
+    return ServiceConfig(
+        budget=Budget.from_wire(wire.get("budget")),
+        **{name: wire[name] for name in _CONFIG_FIELDS if name in wire},
     )
-    budget = wire.get("budget")
-    if budget is not None:
-        config.budget = Budget(
-            **{name: budget.get(name) for name in _BUDGET_FIELDS}
-        )
-    return config
 
 
 # ----------------------------------------------------------------------

@@ -330,7 +330,7 @@ def test_killed_worker_retry_resumes_from_wire_checkpoint():
 
 
 def test_crash_loop_is_contained_and_invalidate_heals():
-    supervisor = _supervisor(max_retries=0, crash_loop_threshold=3)
+    supervisor = _supervisor(max_retries=0)
     try:
         poison = {
             "op": "analyze", "text": NREV, "entries": [ENTRY],

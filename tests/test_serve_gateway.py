@@ -27,8 +27,9 @@ from repro.serve import (
     route_key,
     shed_response,
 )
+from repro.serve.gateway import DEGRADE_MAX_ITERATIONS, DEGRADE_MAX_STEPS
 from repro.serve.service import AnalysisService
-from repro.serve.shard import Shard, ShardConfig
+from repro.serve.shard import Shard
 
 NREV = """
 nrev([], []).
@@ -281,8 +282,7 @@ def test_degrade_budget_applied_above_soft_threshold():
 
         gateway = Gateway(
             GatewayConfig(shards=1, workers=0, queue_depth=8,
-                          degrade_depth=2, degrade_max_steps=99,
-                          degrade_max_iterations=3),
+                          degrade_depth=2),
             backend_factory=factory,
         )
         await gateway.start()
@@ -311,8 +311,11 @@ def test_degrade_budget_applied_above_soft_threshold():
             ]
             assert tight
             for payload in tight:
-                assert payload["budget"]["max_steps"] == 99
-                assert payload["budget"]["max_iterations"] == 3
+                assert payload["budget"]["max_steps"] == DEGRADE_MAX_STEPS
+                assert (
+                    payload["budget"]["max_iterations"]
+                    == DEGRADE_MAX_ITERATIONS
+                )
                 assert payload["on_budget"] == "degrade"
         finally:
             writer.close()
@@ -638,8 +641,7 @@ def test_stop_with_drain_serves_already_admitted_requests():
 
 def test_shard_submit_raises_when_saturated():
     backend = _BlockingBackend()
-    shard = Shard(0, lambda shard_id: backend,
-                  config=ShardConfig(queue_depth=1))
+    shard = Shard(0, lambda shard_id: backend, queue_depth=1)
     try:
         loop = asyncio.new_event_loop()
         try:
@@ -661,8 +663,7 @@ def test_shard_submit_raises_when_saturated():
 
 def test_shard_close_without_drain_sheds_queue():
     backend = _BlockingBackend()
-    shard = Shard(0, lambda shard_id: backend,
-                  config=ShardConfig(queue_depth=8))
+    shard = Shard(0, lambda shard_id: backend, queue_depth=8)
     loop = asyncio.new_event_loop()
     try:
         shard.submit({"op": "analyze"}, loop.create_future(), loop)

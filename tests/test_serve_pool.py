@@ -5,6 +5,7 @@ chaos, timeout — costs at most one structured error response, never the
 service; results that do come back equal a from-scratch ``analyze()``.
 """
 
+import itertools
 import json
 import os
 import signal
@@ -89,7 +90,13 @@ def test_worker_answers_like_in_process():
 def test_request_errors_still_structured_through_worker():
     with _supervisor() as supervisor:
         response = supervisor.handle({"op": "analyze", "text": "p("})
+        # A non-numeric deadline cannot arm the kill timer; the worker
+        # answers it as a bad request.
+        bad_deadline = supervisor.handle(
+            {**REQUEST, "budget": {"deadline": "soon"}}
+        )
     assert response["ok"] is False and "error" in response
+    assert bad_deadline["ok"] is False and "error" in bad_deadline
 
 
 def test_config_knobs_reach_the_worker():
@@ -129,6 +136,67 @@ def test_kill_beyond_retries_is_structured_retriable_error():
     assert response["retriable"] is True
     assert response["attempts"] == 1
     assert response["id"] == 9
+    assert after["ok"] and after["result"] == _scratch()
+
+
+def _failing_spawns(monkeypatch, failures=None):
+    """Make the first ``failures`` worker spawns raise like a refused
+    fork (``None``: every spawn fails until the patch is undone)."""
+    from repro.serve import pool
+
+    real = pool.Worker
+    calls = itertools.count()
+
+    def spawn(*args, **kwargs):
+        if failures is None or next(calls) < failures:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "Worker", spawn)
+
+
+def test_failed_spawn_is_retried_like_a_crash(monkeypatch):
+    _failing_spawns(monkeypatch, 1)
+    with _supervisor() as supervisor:
+        response = supervisor.handle(dict(REQUEST))
+        stats = supervisor.stats()
+    assert response["ok"] and response["result"] == _scratch()
+    assert response["attempts"] == 2
+    assert stats["retries"] == 1 and stats["pool"]["crashes"] == 1
+
+
+def test_failed_spawns_beyond_retries_are_structured_not_quarantined(
+    monkeypatch,
+):
+    # Two requests with every spawn failing: four failures, past the
+    # crash-loop threshold if they counted, but the request never
+    # reached a worker, so each answer is a retriable worker-crash.
+    _failing_spawns(monkeypatch)
+    with _supervisor(max_retries=1) as supervisor:
+        refused = [
+            supervisor.handle({**REQUEST, "id": index}) for index in (1, 2)
+        ]
+        monkeypatch.undo()
+        after = supervisor.handle(dict(REQUEST))
+        stats = supervisor.stats()
+    for index, response in enumerate(refused, start=1):
+        assert response["ok"] is False
+        assert response["error_kind"] == "worker-crash"
+        assert response["retriable"] is True
+        assert response["attempts"] == 2
+        assert response["id"] == index
+    assert after["ok"] and after["result"] == _scratch()
+    assert stats["quarantined"] == 0
+
+
+def test_invalidate_when_no_worker_can_start_is_structured(monkeypatch):
+    _failing_spawns(monkeypatch, 1)
+    with _supervisor() as supervisor:
+        response = supervisor.handle({"op": "invalidate", "id": 3})
+        after = supervisor.handle(dict(REQUEST))
+    assert response["ok"] is False
+    assert response["error_kind"] == "worker-crash"
+    assert response["retriable"] is True and response["id"] == 3
     assert after["ok"] and after["result"] == _scratch()
 
 
@@ -277,8 +345,7 @@ def test_backoff_resets_after_healthy_request():
     from repro.serve import WorkerPool
 
     pool = WorkerPool(
-        config_to_wire(ServiceConfig()), size=1,
-        backoff_base=0.4, backoff_cap=0.4,
+        config_to_wire(ServiceConfig()), size=1, backoff_base=0.4,
     )
     try:
         slot, _ = pool.checkout()

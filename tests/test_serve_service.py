@@ -313,6 +313,27 @@ def test_serve_loop_protocol():
     assert responses[4]["shutdown"] is True
 
 
+def test_serve_loop_answers_malformed_fields_and_keeps_serving():
+    # A non-object budget (decoded on a cache miss) and a non-text
+    # entry spec are request errors, not crashes of the loop.
+    service = _service()
+    stdin = io.StringIO("\n".join([
+        json.dumps({"op": "analyze", "text": "q(b).",
+                    "entries": ["q(var)"], "budget": 5}),
+        json.dumps({"op": "analyze", "text": "q(b).", "entries": [5]}),
+        json.dumps({"op": "analyze", "text": NREV, "entries": [ENTRY]}),
+    ]) + "\n")
+    stdout = io.StringIO()
+    assert serve_loop(service, stdin, stdout) == 0
+    responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    assert len(responses) == 3
+    assert responses[0]["ok"] is False and "budget" in responses[0]["error"]
+    assert responses[1]["ok"] is False and "entry spec" in responses[1]["error"]
+    assert responses[2]["ok"] and responses[2]["result"] == _scratch(
+        NREV, [ENTRY]
+    )
+
+
 def test_serve_loop_oversized_line_is_answered_and_survived():
     service = _service()
     good = json.dumps({"op": "analyze", "text": NREV, "entries": [ENTRY]})

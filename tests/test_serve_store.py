@@ -8,15 +8,14 @@ import pytest
 
 from repro.analysis.driver import Analyzer
 from repro.prolog.program import Program
-from repro.serve.store import (
-    DiskStore,
-    ResultStore,
+from repro.analysis.codec import (
     entry_from_json,
     entry_to_json,
     pattern_from_json,
     pattern_to_json,
     table_to_json,
 )
+from repro.serve.store import DiskStore, ResultStore
 
 NREV = """
 nrev([], []).
@@ -240,12 +239,50 @@ def test_torn_file_is_quarantined_not_raised(tmp_path):
     assert disk.quarantined == 1
 
 
-def test_legacy_unwrapped_files_still_readable(tmp_path):
+def _rename_checksum_keys(directory):
+    """Damage every entry file's wrapper: ``sha256`` becomes ``sha257``
+    (still valid JSON, no longer a complete record)."""
+    names = _entry_files(directory)
+    for name in names:
+        path = os.path.join(directory, name)
+        with open(path) as handle:
+            text = handle.read()
+        with open(path, "w") as handle:
+            handle.write(text.replace('"sha256"', '"sha257"'))
+    return names
+
+
+def test_files_that_are_not_complete_records_are_quarantined(tmp_path):
+    # One format only: neither an unwrapped payload nor a record with a
+    # damaged wrapper key is served unchecked.
     directory = str(tmp_path / "cache")
     disk = DiskStore(directory)
-    with open(os.path.join(directory, "legacy.json"), "w") as handle:
+    with open(os.path.join(directory, "unwrapped.json"), "w") as handle:
         json.dump({"entries": [1, 2]}, handle)
-    assert disk.get("legacy") == {"entries": [1, 2]}
+    disk.put("damaged", json.dumps({"v": 1}, sort_keys=True))
+    _rename_checksum_keys(directory)
+    assert disk.get("unwrapped") is None
+    assert disk.get("damaged") is None
+    assert disk.quarantined == 2
+    assert not _entry_files(directory)
+
+
+def test_service_reanalyzes_past_damaged_record_wrappers(tmp_path):
+    from repro.serve import AnalysisService, ServiceConfig
+
+    directory = str(tmp_path / "cache")
+    request = {"op": "analyze", "text": NREV, "entries": ["nrev(glist, var)"]}
+    AnalysisService(ServiceConfig(store_dir=directory)).handle(dict(request))
+    names = _rename_checksum_keys(directory)
+    assert names
+    fresh = AnalysisService(ServiceConfig(store_dir=directory))
+    response = fresh.handle(dict(request))
+    assert response["ok"], response
+    assert response["cache"]["outcome"] == "miss"
+    assert response["result"] == Analyzer(
+        Program.from_text(NREV)
+    ).analyze(["nrev(glist, var)"]).stable_dict()
+    assert fresh.store.disk.quarantined == len(names)
 
 
 def test_journal_replay_heals_torn_entry_write(tmp_path):
