@@ -367,10 +367,19 @@ def verify_code(
     return diagnostics
 
 
-def verify_compiled(compiled, file: str = "?") -> List[Diagnostic]:
-    """Verify a :class:`~repro.wam.compile.CompiledProgram`'s code area."""
+def verify_compiled(
+    compiled, file: str = "?", program=None
+) -> List[Diagnostic]:
+    """Verify a :class:`~repro.wam.compile.CompiledProgram`'s code area.
+
+    Diagnostics are located by ``program``'s clauses (default
+    ``compiled.program``): a caller whose text shares ``compiled`` with
+    an earlier text of the same program passes its own parse.
+    """
+    if program is None:
+        program = compiled.program
     positions: Dict[Indicator, Tuple[int, int]] = {}
-    for indicator, predicate in compiled.program.predicates.items():
+    for indicator, predicate in program.predicates.items():
         for clause in predicate.clauses:
             if clause.position is not None:
                 positions[indicator] = clause.position

@@ -111,9 +111,10 @@ class Budget:
             ("max_iterations", max_iterations),
             ("max_table_entries", max_table_entries),
         ):
-            if value is not None and value < 1:
+            # Written so that NaN, which compares false, is refused.
+            if value is not None and not value >= 1:
                 raise ValueError(f"{name} must be positive, not {value!r}")
-        if deadline is not None and deadline < 0:
+        if deadline is not None and not deadline >= 0:
             raise ValueError(f"deadline must be >= 0, not {deadline!r}")
         self.max_steps = max_steps
         self.max_iterations = max_iterations

@@ -34,22 +34,25 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.codec import entry_from_json, table_to_json
-from ..analysis.driver import Analyzer, Seed, parse_entry_spec
+from ..analysis.driver import Analyzer, EntrySpec, Seed, parse_entry_spec
 from ..errors import ReproError
 from ..prolog.library import with_library
 from ..prolog.program import Program
 from ..robust import Budget
-from ..wam.compile import CompilerOptions, compile_program
+from ..wam.compile import CompiledProgram, CompilerOptions, compile_program
 from .callgraph import CallGraph
 from .fingerprint import (
+    _hash,
     config_fingerprint,
     entry_fingerprint,
     predicate_fingerprints,
     request_fingerprint,
+    text_fingerprint,
 )
 from .scheduler import SCCScheduler
 from .store import DiskStore, ResultStore
@@ -58,6 +61,36 @@ from .store import DiskStore, ResultStore
 HIT = "hit"           # full-result fingerprint match; no fixpoint ran
 INCREMENTAL = "incremental"  # some SCC summaries reused, rest recomputed
 MISS = "miss"         # nothing reusable
+
+#: Entries each of the service's memos holds before it evicts the least
+#: recently used one.
+MEMO_ENTRIES = 64
+
+
+class _Memo(OrderedDict):
+    """A dict of at most :data:`MEMO_ENTRIES` items, evicting the least
+    recently used."""
+
+    def recall(self, key):
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def remember(self, key, value):
+        self[key] = value
+        if len(self) > MEMO_ENTRIES:
+            self.popitem(last=False)
+        return value
+
+
+class Prepared(NamedTuple):
+    """One program text, parsed, compiled and fingerprinted."""
+
+    program: Program
+    compiled: CompiledProgram
+    graph: CallGraph
+    merkle: List[str]
 
 
 @dataclass
@@ -116,9 +149,13 @@ class AnalysisService:
             metrics=self.metrics,
         )
         self.requests_served = 0
-        #: program fingerprint → (Program, CompiledProgram, CallGraph,
-        #: merkle fps); compiling is itself worth caching.
-        self._compiled: Dict[str, Tuple] = {}
+        #: Front-end memos, so a repeated request parses nothing: raw
+        #: text fingerprint → Prepared; program fingerprint → Prepared
+        #: (an edit to comments, layout or variable names recompiles
+        #: nothing); entry text → (EntrySpec, entry fingerprint).
+        self._by_text = _Memo()
+        self._by_program = _Memo()
+        self._specs = _Memo()
         #: Extra checkpoint sink: the worker loop points this at stdout
         #: so every snapshot also reaches the supervisor as an interim
         #: wire line (resume-on-retry survives the worker's death even
@@ -186,7 +223,8 @@ class AnalysisService:
             return {"ok": True, "metrics": self.metrics.snapshot()}
         if op == "invalidate":
             self.store.clear()
-            self._compiled.clear()
+            for memo in (self._by_text, self._by_program, self._specs):
+                memo.clear()
             return {"ok": True, "invalidated": True}
         if op == "shutdown":
             return {"ok": True, "shutdown": True}
@@ -195,12 +233,17 @@ class AnalysisService:
     # ------------------------------------------------------------------
 
     def _load_text(self, request: dict) -> str:
-        if "text" in request:
-            return request["text"]
-        if "file" in request:
-            with open(request["file"], "r", encoding="utf-8") as handle:
-                return handle.read()
-        raise ValueError("request needs 'text' or 'file'")
+        field = "text" if "text" in request else "file"
+        if field not in request:
+            raise ValueError("request needs 'text' or 'file'")
+        value = request[field]
+        # An int "file" would open (and close) that file descriptor.
+        if not isinstance(value, str):
+            raise ValueError(f"{field!r} must be a string")
+        if field == "text":
+            return value
+        with open(value, "r", encoding="utf-8") as handle:
+            return handle.read()
 
     def _budget_for(self, request: dict) -> Optional[Budget]:
         """The request's effective budget: server caps tightened by the
@@ -213,34 +256,68 @@ class AnalysisService:
             return requested.copy()
         return None
 
-    def _prepare(self, text: str):
-        """Parse, compile and fingerprint; memoized per program text
-        fingerprint (the parse) and program fingerprint (the rest)."""
-        config = self.config
-        program = (
-            with_library(text) if config.library else Program.from_text(text)
-        )
-        fps = predicate_fingerprints(program)
-        from .fingerprint import _hash
-
-        program_key = _hash(
-            ["prepared"]
-            + sorted(f"{i[0]}/{i[1]}:{fp}" for i, fp in fps.items())
-        )
-        cached = self._compiled.get(program_key)
-        if cached is not None:
-            return cached
-        compiled = compile_program(
-            program,
-            CompilerOptions(environment_trimming=config.environment_trimming),
-        )
-        graph = CallGraph.from_compiled(compiled)
-        merkle = graph.merkle_fingerprints(fps)
-        prepared = (program, compiled, graph, merkle)
-        if len(self._compiled) > 64:  # a small bounded memo, LRU-ish
-            self._compiled.pop(next(iter(self._compiled)))
-        self._compiled[program_key] = prepared
+    def _prepare(self, text: str) -> Prepared:
+        """Parse, compile and fingerprint ``text``, memoized twice: by
+        the raw text (a repeated text parses nothing) and by the
+        program fingerprint (a text that differs only in comments,
+        layout or variable names is parsed but not compiled).  Counts
+        which level answered as ``serve.prepare{source=...}``."""
+        text_key = text_fingerprint(text)
+        prepared = self._by_text.recall(text_key)
+        source = "text"
+        if prepared is None:
+            config = self.config
+            program = (
+                with_library(text) if config.library
+                else Program.from_text(text)
+            )
+            fps = predicate_fingerprints(program)
+            program_key = _hash(
+                ["prepared"]
+                + sorted(f"{i[0]}/{i[1]}:{fp}" for i, fp in fps.items())
+            )
+            held = self._by_program.recall(program_key)
+            if held is not None:
+                source = "program"
+                # This text's own parse, so lint reports its positions
+                # and variable names.
+                prepared = held._replace(program=program)
+            else:
+                source = "parse"
+                compiled = compile_program(
+                    program,
+                    CompilerOptions(
+                        environment_trimming=config.environment_trimming
+                    ),
+                )
+                graph = CallGraph.from_compiled(compiled)
+                prepared = self._by_program.remember(
+                    program_key,
+                    Prepared(
+                        program, compiled, graph,
+                        graph.merkle_fingerprints(fps),
+                    ),
+                )
+            self._by_text.remember(text_key, prepared)
+        self.metrics.counter("serve.prepare", source=source).inc()
         return prepared
+
+    def _entry_specs(self, entries) -> List[Tuple[EntrySpec, str]]:
+        """Each entry's parsed spec and fingerprint, memoized by entry
+        text."""
+        keyed = []
+        for entry in entries:
+            # Only text is memoized: a JSON object is unhashable, and an
+            # in-process caller's Term or EntrySpec is not a wire value.
+            is_text = isinstance(entry, str)
+            pair = self._specs.recall(entry) if is_text else None
+            if pair is None:
+                spec = parse_entry_spec(entry)
+                pair = (spec, entry_fingerprint(spec))
+                if is_text:
+                    self._specs.remember(entry, pair)
+            keyed.append(pair)
+        return keyed
 
     def _config_fp(self) -> str:
         config = self.config
@@ -254,40 +331,34 @@ class AnalysisService:
     # ------------------------------------------------------------------
 
     def _analyze(self, request: dict) -> dict:
-        response, _ = self._analyze_core(request, need_live=False)
+        response, _, _ = self._analyze_core(request, need_live=False)
         return response
 
     def _analyze_core(self, request: dict, need_live: bool):
         """The shared analyze path.
 
-        Returns ``(response, live_result)``; ``live_result`` is the
-        in-process :class:`AnalysisResult` when the fixpoint actually ran
-        (or when ``need_live`` forces a run on a full-result hit — fully
-        seeded, so it converges in one confirming pass), else None.
+        Returns ``(response, live_result, prepared)``; ``live_result``
+        is the in-process :class:`AnalysisResult` when the fixpoint
+        actually ran (or when ``need_live`` forces a run on a
+        full-result hit — fully seeded, so it converges in one
+        confirming pass), else None; ``prepared`` is the
+        :class:`Prepared` program that was analyzed.
         """
         text = self._load_text(request)
         entries = request.get("entries")
         if not entries:
             raise ValueError("request needs non-empty 'entries'")
-        program, compiled, graph, merkle = self._prepare(text)
-        specs = [parse_entry_spec(entry) for entry in entries]
+        prepared = self._prepare(text)
+        graph, merkle = prepared.graph, prepared.merkle
+        keyed = self._entry_specs(entries)
+        specs = [spec for spec, _ in keyed]
         config_fp = self._config_fp()
-        entry_fps = [entry_fingerprint(spec) for spec in specs]
         reachable = graph.reachable_sccs([spec.indicator for spec in specs])
         request_fp = request_fingerprint(
-            config_fp, entry_fps, [merkle[i] for i in reachable]
+            config_fp, [fp for _, fp in keyed], [merkle[i] for i in reachable]
         )
-        # ---- gather seeds from clean SCC summaries --------------------
-        seeds: List[Seed] = []
-        seeded_sccs = 0
-        for scc_index in reachable:
-            stored = self.store.get(f"scc:{merkle[scc_index]}:{config_fp}")
-            if stored is None:
-                continue
-            seeded_sccs += 1
-            for item in stored["entries"]:
-                seeds.append(entry_from_json(item))
-        # ---- full-result hit: no fixpoint at all ----------------------
+        scc_keys = [f"scc:{merkle[i]}:{config_fp}" for i in reachable]
+        # ---- full-result hit: no fixpoint, no seeds decoded -----------
         cached = None if need_live else self.store.get(f"result:{request_fp}")
         if cached is not None:
             self.metrics.counter("serve.cache", outcome=HIT).inc()
@@ -299,11 +370,24 @@ class AnalysisService:
                     "cache": {
                         "outcome": HIT,
                         "sccs_total": len(reachable),
-                        "sccs_seeded": seeded_sccs,
+                        "sccs_seeded": sum(
+                            1 for key in scc_keys if key in self.store
+                        ),
                     },
                 },
                 None,
+                prepared,
             )
+        # ---- gather seeds from clean SCC summaries --------------------
+        seeds: List[Seed] = []
+        seeded_sccs = 0
+        for key in scc_keys:
+            stored = self.store.get(key)
+            if stored is None:
+                continue
+            seeded_sccs += 1
+            for item in stored["entries"]:
+                seeds.append(entry_from_json(item))
         # ---- resume from the best valid checkpoint --------------------
         # Two sources, the furthest cursor wins: one attached to the
         # request (the supervisor replays the best snapshot a crashed
@@ -376,7 +460,7 @@ class AnalysisService:
         # ---- run the seeded fixpoint ----------------------------------
         config = self.config
         analyzer = Analyzer(
-            compiled,
+            prepared.compiled,
             depth=config.depth,
             subsumption=config.subsumption,
             on_undefined=config.on_undefined,
@@ -426,7 +510,7 @@ class AnalysisService:
                 "schedule": stats.to_dict(),
             },
         }
-        return response, result
+        return response, result, prepared
 
     # ------------------------------------------------------------------
 
@@ -440,15 +524,17 @@ class AnalysisService:
         from ..lint import lint_source, verify_compiled
         from ..lint.diagnostics import LintReport
 
-        analysis, result = self._analyze_core(request, need_live=True)
+        analysis, result, prepared = self._analyze_core(
+            request, need_live=True
+        )
         if not analysis.get("ok") or result is None:
             return analysis
-        text = self._load_text(request)
-        program, compiled, _, _ = self._prepare(text)
         report = LintReport()
         file_name = request.get("file", "?")
-        report.extend(verify_compiled(compiled, file=file_name))
-        report.extend(lint_source(program, result, file=file_name))
+        report.extend(verify_compiled(
+            prepared.compiled, file=file_name, program=prepared.program
+        ))
+        report.extend(lint_source(prepared.program, result, file=file_name))
         report.sort()
         return {
             "ok": True,
@@ -463,7 +549,7 @@ class AnalysisService:
         return {
             "requests_served": self.requests_served,
             "store": self.store.stats(),
-            "programs_prepared": len(self._compiled),
+            "programs_prepared": len(self._by_program),
             "metrics": self.metrics.snapshot(),
         }
 
@@ -584,6 +670,7 @@ __all__ = [
     "HIT",
     "INCREMENTAL",
     "MAX_REQUEST_LINE",
+    "MEMO_ENTRIES",
     "MISS",
     "AnalysisService",
     "ServiceConfig",

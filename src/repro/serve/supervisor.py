@@ -70,6 +70,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -178,14 +180,21 @@ class Supervisor:
     def _timeout_for(self, request: dict) -> Optional[float]:
         """The wall-clock kill limit for one request: the tightest of
         the request budget deadline, the server budget deadline and the
-        configured request_timeout, plus grace; None = no kill timer."""
+        configured request_timeout, plus grace; None = no kill timer.
+
+        A limit no wait can honour — infinite, or longer than the
+        platform's lock timeouts accept — is no kill timer either, and
+        a NaN request deadline is left for the worker to refuse."""
         candidates = []
         spec = request.get("budget")
         if isinstance(spec, dict) and spec.get("deadline") is not None:
             try:
-                candidates.append(float(spec["deadline"]))
+                deadline = float(spec["deadline"])
             except (TypeError, ValueError):
                 pass  # the worker answers the malformed budget
+            else:
+                if not math.isnan(deadline):
+                    candidates.append(deadline)
         server = self.service_config.budget
         if server is not None and server.deadline is not None:
             candidates.append(server.deadline)
@@ -193,7 +202,8 @@ class Supervisor:
             candidates.append(self.config.request_timeout)
         if not candidates:
             return None
-        return min(candidates) + self.config.grace
+        limit = min(candidates) + self.config.grace
+        return limit if limit <= threading.TIMEOUT_MAX else None
 
     # ------------------------------------------------------------------
     # Request handling.

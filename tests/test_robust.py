@@ -93,6 +93,11 @@ class TestBudget:
             Budget(max_iterations=-1)
         with pytest.raises(ValueError):
             Budget(deadline=-0.5)
+        # NaN compares false with every bound; it is refused too.
+        for name in ("max_steps", "max_iterations", "max_table_entries",
+                     "deadline"):
+            with pytest.raises(ValueError):
+                Budget(**{name: float("nan")})
 
     def test_budget_exceeded_is_analysis_error(self):
         # Back-compat: callers catching AnalysisError keep working.

@@ -18,6 +18,7 @@ from repro.prolog.program import Program
 from repro.robust import Budget, FaultPlan
 from repro.serve import (
     HIT,
+    AnalysisService,
     ServiceConfig,
     Supervisor,
     SupervisorConfig,
@@ -36,6 +37,10 @@ append([H|T], L, [H|R]) :- append(T, L, R).
 ENTRY = "nrev(glist, var)"
 
 REQUEST = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
+
+#: Budget deadlines no kill timer can wait for: beyond
+#: ``threading.TIMEOUT_MAX``, infinite, and NaN.
+UNWAITABLE = (1e300, float("inf"), float("nan"))
 
 
 def _scratch(text=NREV, entries=(ENTRY,)):
@@ -252,6 +257,11 @@ def test_request_budget_deadline_arms_the_kill_timer():
         assert supervisor._timeout_for(
             {"budget": {"deadline": 1.0}}
         ) == pytest.approx(1.25)
+        # Deadlines no timer can wait for arm none.
+        for deadline in UNWAITABLE:
+            assert supervisor._timeout_for(
+                {"budget": {"deadline": deadline}}
+            ) is None
     finally:
         supervisor.close()
 
@@ -266,8 +276,39 @@ def test_tightest_deadline_wins():
         assert supervisor._timeout_for(
             {"budget": {"deadline": 0.5}}
         ) == pytest.approx(1.0)
+        for deadline in UNWAITABLE:
+            assert supervisor._timeout_for(
+                {"budget": {"deadline": deadline}}
+            ) == pytest.approx(3.5)
     finally:
         supervisor.close()
+
+
+@pytest.mark.parametrize(
+    "deadline, ok", zip(UNWAITABLE, (True, True, False)),
+    ids=["1e300", "Infinity", "NaN"],
+)
+def test_unwaitable_deadline_answered_alike_in_and_out_of_process(
+    deadline, ok
+):
+    # Through the JSON wire form, which accepts Infinity and NaN.  A
+    # deadline the kill timer cannot wait for is no kill timer: the
+    # worker answers, exactly as the in-process service does.
+    request = json.loads(
+        json.dumps(dict(REQUEST, budget={"deadline": deadline}))
+    )
+    in_process = AnalysisService(ServiceConfig()).handle(dict(request))
+    with _supervisor() as supervisor:
+        supervised = supervisor.handle(dict(request))
+        timeouts = supervisor.timeouts
+    assert timeouts == 0
+    for response in (in_process, supervised):
+        assert response["ok"] is ok
+        if ok:
+            assert response["result"] == _scratch()
+        else:
+            assert "error_kind" not in response
+            assert "deadline" in response["error"]
 
 
 # ----------------------------------------------------------------------

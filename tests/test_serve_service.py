@@ -11,8 +11,10 @@ import json
 
 import pytest
 
+import repro.serve.service as service_module
 from repro.analysis.driver import Analyzer, parse_entry_spec
 from repro.analysis.patterns import Pattern
+from repro.bench.programs import BENCHMARKS
 from repro.bench.stress import _sound_against
 from repro.domain.lattice import ANY_T
 from repro.domain.sorts import AbsSort
@@ -29,6 +31,7 @@ from repro.serve import (
     run_batch,
     serve_loop,
 )
+from repro.serve.service import MEMO_ENTRIES
 
 NREV = """
 nrev([], []).
@@ -274,6 +277,22 @@ def test_error_requests_are_answered_not_raised():
         {"op": "analyze", "text": "p(", "entries": ["p"]}
     )
     assert bad_syntax["ok"] is False and "error" in bad_syntax
+    # Entries that are not text, also with the spec memo holding one.
+    good = {"op": "analyze", "text": "q(b).", "entries": ["q(var)"]}
+    assert service.handle(dict(good))["ok"]
+    for entries in ([5], [{}], ["q(var)", 5]):
+        response = service.handle(dict(good, entries=entries))
+        assert response["ok"] is False and "entry spec" in response["error"]
+    # A program field that is not text, also with the text memo warm.
+    for field, value in (
+        ("text", 5), ("text", None), ("text", ["q(b)."]), ("text", {}),
+        ("file", 5), ("file", None),
+    ):
+        request = {"op": "analyze", field: value, "entries": ["q(var)"]}
+        for op in ("analyze", "lint"):
+            response = service.handle(dict(request, op=op))
+            assert response["ok"] is False
+            assert response["error"].endswith(f"{field!r} must be a string")
 
 
 def test_disk_store_survives_service_restart(tmp_path):
@@ -314,22 +333,27 @@ def test_serve_loop_protocol():
 
 
 def test_serve_loop_answers_malformed_fields_and_keeps_serving():
-    # A non-object budget (decoded on a cache miss) and a non-text
-    # entry spec are request errors, not crashes of the loop.
+    # A non-object budget (decoded on a cache miss), a non-text entry
+    # spec and non-text program text are request errors, not crashes
+    # of the loop.
     service = _service()
     stdin = io.StringIO("\n".join([
         json.dumps({"op": "analyze", "text": "q(b).",
                     "entries": ["q(var)"], "budget": 5}),
         json.dumps({"op": "analyze", "text": "q(b).", "entries": [5]}),
+        json.dumps({"op": "analyze", "text": 5, "entries": ["q(var)"]}),
+        json.dumps({"op": "analyze", "text": None, "entries": ["q(var)"]}),
         json.dumps({"op": "analyze", "text": NREV, "entries": [ENTRY]}),
     ]) + "\n")
     stdout = io.StringIO()
     assert serve_loop(service, stdin, stdout) == 0
     responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
-    assert len(responses) == 3
+    assert len(responses) == 5
     assert responses[0]["ok"] is False and "budget" in responses[0]["error"]
     assert responses[1]["ok"] is False and "entry spec" in responses[1]["error"]
-    assert responses[2]["ok"] and responses[2]["result"] == _scratch(
+    for response in responses[2:4]:
+        assert response["ok"] is False and "'text'" in response["error"]
+    assert responses[4]["ok"] and responses[4]["result"] == _scratch(
         NREV, [ENTRY]
     )
 
@@ -405,3 +429,217 @@ def test_serve_loop_counts_oversized_and_malformed_in_metrics():
     snapshot = service.metrics.snapshot()
     assert snapshot["serve.input.oversized"]["value"] == 1
     assert snapshot["serve.input.malformed"]["value"] == 2
+
+
+# ----------------------------------------------------------------------
+# The warm path: a repeated text is answered from the memos.
+
+#: ``p``'s first clause fails before calling ``q``, so ``q`` and ``r``
+#: are statically reachable but never analyzed: a hit counts 2 of its
+#: 4 reachable SCCs as stored.
+DEAD_BRANCH = """
+main :- p(a).
+p(X) :- fail, q(X).
+p(_).
+q(Y) :- r(Y).
+r(_).
+"""
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call is recorded; returns the list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def _prepared(service, source):
+    return service.metrics.snapshot().get(
+        f"serve.prepare{{source={source}}}", {}
+    ).get("value", 0)
+
+
+def test_repeated_request_parses_and_decodes_nothing(monkeypatch):
+    service = _service()
+    request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
+    service.handle(dict(request))
+    parses = _counting(monkeypatch, Program, "from_text")
+    specs = _counting(monkeypatch, service_module, "parse_entry_spec")
+    decodes = _counting(monkeypatch, service_module, "entry_from_json")
+    response = service.handle(dict(request))
+    assert response["cache"]["outcome"] == HIT
+    assert parses == [] and specs == [] and decodes == []
+    assert _prepared(service, "text") == 1
+    assert _prepared(service, "parse") == 1
+
+
+def test_comment_only_edit_hits_without_compiling(monkeypatch):
+    service = _service()
+    service.handle({"op": "analyze", "text": NREV, "entries": [ENTRY]})
+    compiles = _counting(monkeypatch, service_module, "compile_program")
+    edited = "% reversed, naively\n" + NREV.replace("RT", "Rev")
+    response = service.handle(
+        {"op": "analyze", "text": edited, "entries": [ENTRY]}
+    )
+    assert response["cache"]["outcome"] == HIT
+    assert response["result"] == _scratch(NREV, [ENTRY])
+    assert compiles == []
+    assert _prepared(service, "program") == 1
+
+
+def test_invalidate_empties_every_memo():
+    service = _service()
+    request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
+    service.handle(dict(request))
+    service.handle({"op": "invalidate"})
+    assert not service._by_text and not service._by_program
+    assert not service._specs
+    response = service.handle(dict(request))
+    assert response["cache"]["outcome"] == MISS
+    assert _prepared(service, "parse") == 2
+    assert _prepared(service, "text") == 0
+
+
+def test_memos_are_lru_at_their_bound():
+    service = _service()
+
+    def send(i):
+        return service.handle({
+            "op": "analyze", "text": f"p{i}(a).\n", "entries": [f"p{i}(var)"],
+        })
+
+    for i in range(MEMO_ENTRIES):
+        send(i)
+    send(0)  # now the most recently used, so it outlives 1..6
+    for i in range(MEMO_ENTRIES, 70):
+        send(i)
+    for memo in (service._by_text, service._by_program, service._specs):
+        assert len(memo) == MEMO_ENTRIES
+    before = _prepared(service, "text")
+    assert send(0)["cache"]["outcome"] == HIT
+    assert _prepared(service, "text") == before + 1
+    send(1)  # evicted: parsed again
+    assert _prepared(service, "parse") == 71
+
+
+#: Reachable SCCs per Table 1 program; a hit of each finds all stored.
+BENCHMARK_SCCS = {
+    "log10": 2, "ops8": 2, "times10": 2, "divide10": 2, "tak": 2,
+    "nreverse": 3, "qsort": 3, "query": 5, "zebra": 5, "serialise": 7,
+    "queens_8": 7,
+}
+
+
+@pytest.mark.parametrize(
+    "text, entries, sccs_total, sccs_seeded",
+    [
+        (b.source, [b.entry], BENCHMARK_SCCS[b.name], BENCHMARK_SCCS[b.name])
+        for b in BENCHMARKS
+    ] + [
+        (DEAD_BRANCH, ["main"], 4, 2),
+        (DEAD_BRANCH, ["main", "q(g)"], 4, 4),
+    ],
+    ids=[b.name for b in BENCHMARKS] + ["dead_branch", "two_entries"],
+)
+def test_hit_answers_as_before(text, entries, sccs_total, sccs_seeded):
+    # The counts are those the service reported before hits stopped
+    # reading SCC summaries; the hit now counts them by membership.
+    service = _service()
+    request = {"op": "analyze", "text": text, "entries": entries}
+    service.handle(dict(request))
+    hit = service.handle(dict(request))
+    assert sorted(hit) == ["cache", "elapsed_ms", "ok", "op", "result",
+                           "status"]
+    assert hit["cache"] == {
+        "outcome": HIT, "sccs_total": sccs_total, "sccs_seeded": sccs_seeded,
+    }
+    assert hit["status"] == "exact"
+    assert hit["result"] == _scratch(text, entries)
+
+
+def test_lint_reads_its_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "nrev.pl"
+    path.write_text(NREV)
+    service = _service(on_undefined="top")
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(service_module, "open", counting_open, raising=False)
+    response = service.handle(
+        {"op": "lint", "file": str(path), "entries": [ENTRY]}
+    )
+    assert response["ok"]
+    assert opened == [str(path)]
+
+
+def test_lint_reports_the_text_it_analyzed():
+    # A layout-and-renaming edit shares the first text's compiled code,
+    # but its diagnostics carry its own lines and variable names.
+    service = _service()
+    first = "p(X, Y) :- q(X).\nq(a).\n"
+    moved = "\n\n% moved down\np(A, B) :- q(A).\nq(a).\n"
+    reports = [
+        service.handle(
+            {"op": "lint", "text": text, "entries": ["p(var, var)"]}
+        )["lint"]["diagnostics"]
+        for text in (first, moved)
+    ]
+    assert [(d["code"], d["line"]) for d in reports[0]] == [("W002", 1)]
+    assert [(d["code"], d["line"]) for d in reports[1]] == [("W002", 4)]
+    assert "'B'" in reports[1][0]["message"]
+    assert _prepared(service, "program") == 1
+
+
+def test_lint_locates_verifier_diagnostics_in_the_text_it_analyzed(
+    monkeypatch,
+):
+    # The moved text shares the first text's compiled code; the
+    # verifier still takes its clause positions from the moved text.
+    from repro.lint import verifier
+
+    located = []
+    original = verifier.verify_code
+
+    def recording(code, file="?", positions=None):
+        located.append(positions)
+        return original(code, file=file, positions=positions)
+
+    monkeypatch.setattr(verifier, "verify_code", recording)
+    service = _service()
+    for text in (
+        "p(X, Y) :- q(X).\nq(a).\n",
+        "\n\n% moved down\np(A, B) :- q(A).\nq(a).\n",
+    ):
+        service.handle({"op": "lint", "text": text, "entries": ["p(var, var)"]})
+    assert [positions[("p", 2)][0] for positions in located] == [1, 4]
+    assert _prepared(service, "program") == 1
+
+
+def test_hit_counts_a_damaged_scc_file_until_seeds_are_read(tmp_path):
+    # A hit tests SCC keys by membership, which on disk is the file's
+    # existence: a damaged SCC file still counts as seeded, and stays
+    # put. The next request that decodes seeds (a lint) quarantines it
+    # and recomputes and stores that SCC again.
+    directory = tmp_path / "cache"
+    request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
+    _service(store_dir=str(directory)).handle(dict(request))
+    damaged = sorted(directory.glob("scc_*.json"))[0]
+    damaged.write_text("{")
+    service = _service(store_dir=str(directory))
+    hit = service.handle(dict(request))
+    assert hit["cache"] == {"outcome": HIT, "sccs_total": 2, "sccs_seeded": 2}
+    assert hit["result"] == _scratch(NREV, [ENTRY])
+    assert damaged.exists()
+    lint = service.handle(dict(request, op="lint"))
+    assert lint["ok"] and lint["cache"]["sccs_seeded"] == 1
+    assert (directory / "quarantine" / damaged.name).read_text() == "{"
+    assert json.loads(damaged.read_text())["value"]
