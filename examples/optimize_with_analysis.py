@@ -2,9 +2,9 @@
 
 The paper motivates the analyzer with the "substantial optimizations" that
 need global modes/types/aliasing.  This example runs the analysis on the
-qsort benchmark and annotates its WAM code: instructions that can drop
-dereferencing, trailing or their read/write tag dispatch, and predicates
-proven choice-point-free.
+qsort benchmark and lists what the optimizer (``repro.opt``) does with
+it: get instructions that drop dereferencing, trailing or their
+read/write tag dispatch, and predicates proven choice-point-free.
 
 Run:  python examples/optimize_with_analysis.py [benchmark]
 """
@@ -13,9 +13,10 @@ import sys
 
 from repro.analysis import Analyzer
 from repro.bench import get_benchmark
-from repro.optimize import specialize
+from repro.lint import find_dead_code
+from repro.opt import specialize
 from repro.prolog import Program
-from repro.wam import compile_program, disassemble
+from repro.wam import compile_program
 
 
 def main() -> None:
@@ -35,16 +36,13 @@ def main() -> None:
         100.0 * len(report.annotations) / max(report.instructions_seen, 1)
     )
     print(
-        f"{fraction:.0f}% of the analyzed instructions can be specialized;"
+        f"{fraction:.0f}% of the optimized instructions are specialized;"
         f" estimated {report.total_saving} cost units saved per pass over"
         " the code."
     )
 
-    from repro.optimize import find_dead_code
-    from repro.prolog import Program as _Program
-
     print()
-    print(find_dead_code(_Program.from_text(bench.source), result).to_text())
+    print(find_dead_code(compiled.program, result).to_text())
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import sys
 
 from repro.analysis import Analyzer
 from repro.bench import get_benchmark
-from repro.optimize import annotate_parallelism
+from repro.opt import annotate_parallelism
 from repro.prolog import Program
 
 FIB_MATRIX = """

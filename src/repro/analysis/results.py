@@ -55,6 +55,19 @@ class ArgumentInfo:
             return "+"
         return "?"
 
+    @property
+    def call_class(self) -> Optional[str]:
+        """``'ground'``, ``'nonvar'``, ``'var'`` or None: the
+        instantiation every call guarantees.  The optimizer's get
+        specialization and the first-argument determinacy fact read it."""
+        if tree_leq(self.call_type, GROUND_T):
+            return "ground"
+        if tree_leq(self.call_type, VAR_T):
+            return "var"
+        if tree_leq(self.call_type, NV_T):
+            return "nonvar"
+        return None
+
     def to_text(self) -> str:
         success = (
             tree_to_text(self.success_type)

@@ -106,7 +106,7 @@ class MetaAnalyzer:
         self.iteration = 0
         self.goals_interpreted = 0
         self.store_copies = 0
-        self.builtins = dict(_META_BUILTINS)
+        self.builtins = dict(META_BUILTINS)
         #: The budget actively charged during analyze() (never None there).
         self._budget: Optional[Budget] = None
 
@@ -363,7 +363,7 @@ def _mb_output(analyzer, store, args) -> bool:
     return True
 
 
-_META_BUILTINS: Dict[Indicator, MetaBuiltinFn] = {
+META_BUILTINS: Dict[Indicator, MetaBuiltinFn] = {
     ("true", 0): _mb_true,
     ("fail", 0): _mb_fail,
     ("false", 0): _mb_fail,
@@ -406,4 +406,4 @@ _META_BUILTINS: Dict[Indicator, MetaBuiltinFn] = {
 }
 
 # The baseline must treat exactly the machine's builtin set as builtin.
-assert set(_META_BUILTINS) == set(MACHINE_BUILTIN_INDICATORS)
+assert set(META_BUILTINS) == set(MACHINE_BUILTIN_INDICATORS)

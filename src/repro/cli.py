@@ -89,12 +89,6 @@ def _load_program(path: str, use_library: bool) -> Program:
     return Program.from_text(text)
 
 
-def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
-    """Arguments shared by every command that reads a Prolog file."""
-    parser.add_argument("file", help="Prolog source file")
-    parser.add_argument("--library", action="store_true", help="add list library")
-
-
 def _add_budget_arguments(
     parser: argparse.ArgumentParser, analysis: bool = True
 ) -> None:
@@ -142,15 +136,17 @@ def _budget_from(arguments: argparse.Namespace) -> Optional[Budget]:
     )
 
 
-def _add_analysis_arguments(
-    parser: argparse.ArgumentParser, on_undefined_default: str = "error"
+def _add_program_arguments(
+    parser: argparse.ArgumentParser,
+    analysis: bool = True,
+    on_undefined_default: str = "error",
 ) -> None:
-    """Arguments shared by the analysis-running commands."""
-    parser.add_argument(
-        "entries",
-        nargs="+",
-        help='entry calling patterns, e.g. "main" or "nrev(glist, var)"',
-    )
+    """How the program is loaded and, with ``analysis``, analyzed: one
+    group for repro-analyze, repro-lint, repro-optimize and repro-serve
+    (repro-prolog takes ``--library`` only)."""
+    parser.add_argument("--library", action="store_true", help="add list library")
+    if not analysis:
+        return
     parser.add_argument("--depth", type=int, default=4, help="term-depth limit")
     parser.add_argument(
         "--no-trimming", action="store_true", help="disable environment trimming"
@@ -165,6 +161,19 @@ def _add_analysis_arguments(
         choices=["error", "fail", "top"],
         help="policy for calls to undefined predicates",
     )
+
+
+def _add_analysis_arguments(
+    parser: argparse.ArgumentParser, on_undefined_default: str = "error"
+) -> None:
+    """Arguments shared by the commands that analyze one Prolog file."""
+    parser.add_argument("file", help="Prolog source file")
+    parser.add_argument(
+        "entries",
+        nargs="+",
+        help='entry calling patterns, e.g. "main" or "nrev(glist, var)"',
+    )
+    _add_program_arguments(parser, on_undefined_default=on_undefined_default)
     parser.add_argument(
         "--json", action="store_true", help="print the report as JSON"
     )
@@ -264,7 +273,6 @@ def _analyze_command(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-analyze",
         description="Compiled dataflow analysis of a Prolog program",
     )
-    _add_source_arguments(parser)
     _add_analysis_arguments(parser)
     parser.add_argument(
         "--table", action="store_true", help="print the raw extension table too"
@@ -363,17 +371,17 @@ def _analyze_command(argv: Optional[Sequence[str]] = None) -> int:
         print()
         print(result.table_text())
     if arguments.specialize:
-        from .optimize import specialize
+        from .opt import specialize
 
         print()
         print(specialize(analyzer.compiled, result).to_text())
     if arguments.parallel:
-        from .optimize import annotate_parallelism
+        from .opt import annotate_parallelism
 
         print()
         print(annotate_parallelism(program, result).to_text())
     if arguments.deadcode:
-        from .optimize import find_dead_code
+        from .lint import find_dead_code
 
         print()
         print(find_dead_code(program, result).to_text())
@@ -391,15 +399,12 @@ def _analyze_command(argv: Optional[Sequence[str]] = None) -> int:
             else f"% verifier: {len(errors)} diagnostic(s) on optimized code"
         )
     if arguments.lint:
-        from .lint import lint_source, verify_compiled
-        from .lint.diagnostics import LintReport
+        from .lint import assemble_report
 
-        report = LintReport()
-        report.extend(verify_compiled(analyzer.compiled, file=arguments.file))
-        report.extend(lint_source(program, result, file=arguments.file))
-        report.sort()
         print()
-        print(report.to_text())
+        print(assemble_report(
+            analyzer.compiled, program, result, file=arguments.file
+        ).to_text())
     return 0
 
 
@@ -411,7 +416,6 @@ def _lint_command(argv: Optional[Sequence[str]] = None) -> int:
             "analysis-driven source linting"
         ),
     )
-    _add_source_arguments(parser)
     _add_analysis_arguments(parser, on_undefined_default="top")
     parser.add_argument(
         "--no-verify", action="store_true",
@@ -457,7 +461,6 @@ def _optimize_command(argv: Optional[Sequence[str]] = None) -> int:
             "solutions as the original on every --goal"
         ),
     )
-    _add_source_arguments(parser)
     _add_analysis_arguments(parser)
     parser.add_argument(
         "--goal", action="append", default=None, metavar="GOAL",
@@ -522,7 +525,8 @@ def _prolog_command(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-prolog",
         description="Run a Prolog query on the WAM (or the SLD solver)",
     )
-    _add_source_arguments(parser)
+    parser.add_argument("file", help="Prolog source file")
+    _add_program_arguments(parser, analysis=False)
     parser.add_argument("goal", nargs="?", default="main", help="query goal")
     parser.add_argument(
         "--engine", default="wam", choices=["wam", "solver"]
@@ -701,19 +705,7 @@ def _serve_command(argv: Optional[Sequence[str]] = None) -> int:
         "--cache-bytes", type=int, default=64 * 1024 * 1024, metavar="N",
         help="in-memory store byte cap (default 64 MiB)",
     )
-    parser.add_argument("--library", action="store_true", help="add list library")
-    parser.add_argument("--depth", type=int, default=4, help="term-depth limit")
-    parser.add_argument(
-        "--no-trimming", action="store_true", help="disable environment trimming"
-    )
-    parser.add_argument(
-        "--subsumption", action="store_true",
-        help="reuse summaries of more general explored patterns",
-    )
-    parser.add_argument(
-        "--on-undefined", default="error", choices=["error", "fail", "top"],
-        help="policy for calls to undefined predicates",
-    )
+    _add_program_arguments(parser)
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="write a JSON-lines span trace to PATH ('-' for stderr); "

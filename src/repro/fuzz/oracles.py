@@ -59,6 +59,7 @@ from ..baselines import MetaAnalyzer, PrologAnalyzer
 from ..domain import AbsSort, abstract_term, tree_contains
 from ..errors import BudgetExceeded, PrologError, ReproError
 from ..opt import goal_entry_specs, optimize_program, validate
+from ..opt.validate import canonical_solution
 from ..prolog.parser import parse_term
 from ..prolog.program import Program
 from ..prolog.solver import Solver
@@ -131,16 +132,6 @@ def entry_from_goal(goal: Term) -> EntrySpec:
 # Concrete runs with classification.
 
 
-def _canonical_solution(solution: Dict[str, Term]) -> Tuple:
-    from ..opt.validate import _canonical_text
-
-    names: Dict[int, str] = {}
-    return tuple(
-        (name, _canonical_text(solution[name], names))
-        for name in sorted(solution)
-    )
-
-
 def _classify_run(runner: Callable) -> Tuple[str, object]:
     """Run an engine; classify as ('ok', payload) / ('budget', msg) /
     ('error', message)."""
@@ -169,7 +160,7 @@ def _wam_solutions(
         solutions = []
         for count, solution in enumerate(machine.run(goal), start=1):
             solutions.append(
-                dict(solution) if raw else _canonical_solution(solution)
+                dict(solution) if raw else canonical_solution(solution)
             )
             if count >= max_solutions:
                 break
@@ -189,7 +180,7 @@ def _solver_solutions(
         )
         solutions = []
         for count, solution in enumerate(solver.solve(goal), start=1):
-            solutions.append(_canonical_solution(solution))
+            solutions.append(canonical_solution(solution))
             if count >= max_solutions:
                 break
         return solutions, tuple(solver.output)

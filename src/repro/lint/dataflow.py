@@ -9,8 +9,8 @@ it.  This module provides that substrate plus two reusable analyses:
   dead-move elimination and environment-slot trimming;
 * :func:`determinacy` — which predicates are selected deterministically
   by their first argument (instantiated selector, pairwise-distinct
-  clause keys), reusing :mod:`repro.optimize.specialize`'s argument
-  classification.
+  clause keys); lint, the optimizer and its specialization report all
+  read this one fact.
 
 Control-flow edges come in two flavors.  A *flow* edge carries the
 predecessor's out-state (fall-through, ``switch_*`` dispatch).  A
@@ -43,9 +43,11 @@ from typing import (
     TypeVar,
 )
 
+from ..prolog.program import Predicate
 from ..prolog.terms import Indicator
 from ..wam.code import CodeArea
-from ..wam.instructions import ALL_OPS, Instr, base_op, switch_default
+from ..wam.compile.predicate import first_argument_key
+from ..wam.instructions import Instr, base_op, switch_default
 
 #: Branch target meaning "backtrack" rather than an address.
 FAIL_TARGET = -1
@@ -440,16 +442,21 @@ class DeterminacyInfo:
         return self.selector_class in ("ground", "nonvar") and self.keys_distinct
 
 
+def first_argument_keys_distinct(predicate: Optional[Predicate]) -> bool:
+    """True when the clauses' first-argument keys are pairwise distinct
+    and none is a variable (a single clause trivially qualifies)."""
+    if predicate is None or len(predicate.clauses) < 2:
+        return predicate is not None
+    keys = [first_argument_key(clause.head) for clause in predicate.clauses]
+    return "var" not in keys and len(set(keys)) == len(keys)
+
+
 def determinacy(compiled, result) -> Dict[Indicator, DeterminacyInfo]:
     """Determinacy facts for every analyzed predicate with code.
 
     ``compiled`` is a :class:`~repro.wam.compile.CompiledProgram`,
-    ``result`` an :class:`~repro.analysis.results.AnalysisResult`; the
-    argument classification and key-distinctness logic are shared with
-    :mod:`repro.optimize.specialize`.
+    ``result`` an :class:`~repro.analysis.results.AnalysisResult`.
     """
-    from ..optimize.specialize import _argument_class, _first_arg_keys_distinct
-
     facts: Dict[Indicator, DeterminacyInfo] = {}
     for indicator in result.predicates():
         info = result.predicate(indicator)
@@ -458,12 +465,14 @@ def determinacy(compiled, result) -> Dict[Indicator, DeterminacyInfo]:
         selector = None
         for argument in info.arguments:
             if argument.position == 0:
-                selector = _argument_class(argument.call_type)
+                selector = argument.call_class
                 break
         facts[indicator] = DeterminacyInfo(
             indicator=indicator,
             selector_class=selector,
-            keys_distinct=_first_arg_keys_distinct(compiled, indicator),
+            keys_distinct=first_argument_keys_distinct(
+                compiled.program.predicate(indicator)
+            ),
         )
     return facts
 
@@ -479,6 +488,7 @@ __all__ = [
     "TERMINAL_OPS",
     "build_cfg",
     "determinacy",
+    "first_argument_keys_distinct",
     "predicate_regions",
     "solve_backward",
     "solve_forward",

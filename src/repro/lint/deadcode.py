@@ -1,11 +1,12 @@
 """Dead-code detection from the analysis results.
 
-A third client of the dataflow facts: with every reachable calling
-pattern recorded in the extension table, a clause whose head cannot
-abstractly unify with *any* calling pattern of its predicate can never be
-selected, and a predicate with no table entry is never called at all.
-Both are safe to remove (for the analyzed entry points) — the classic
-"dead code elimination enabled by global analysis".
+With every reachable calling pattern recorded in the extension table, a
+clause whose head cannot abstractly unify with *any* calling pattern of
+its predicate can never be selected, and a predicate with no table entry
+is never called at all.  Both are safe to remove (for the analyzed entry
+points) — the classic "dead code elimination enabled by global
+analysis".  The lint rules report these facts (``W003``-``W005``,
+``I008``) and :mod:`repro.opt` drops the dead clauses.
 
 The check replays head unification only (no bodies): for each (predicate,
 calling pattern), materialize the pattern and ``s_unify`` it against each
@@ -17,12 +18,11 @@ and the pattern was explored) are reported separately as *failing*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..analysis.patterns import materialize_pattern
 from ..analysis.aunify import s_unify
 from ..analysis.results import AnalysisResult
-from ..baselines.absterms import AbsStore
 from ..prolog.program import Clause, Program, normalize_program
 from ..prolog.terms import Indicator, Struct, format_indicator
 from ..wam.cells import Heap
@@ -68,8 +68,8 @@ class DeadCodeReport:
 def clause_matches(pattern, clause: Clause) -> bool:
     """Can the clause head abstractly unify with the calling pattern?
 
-    Shared with :mod:`repro.lint`, which uses it for dead-clause
-    diagnostics and determinism hints.
+    The dead-clause diagnostics and determinism hints of
+    :mod:`repro.lint.rules` read it too.
     """
     heap = Heap()
     cells = materialize_pattern(heap, pattern)

@@ -2,9 +2,12 @@
 
 :func:`lint_program` is the library API: given a program (text, parsed,
 or path contents) and entry calling patterns, it runs the fixpoint
-analysis, verifies the compiled bytecode, runs every source rule, and
-aggregates everything into one sorted
-:class:`~repro.lint.diagnostics.LintReport`.
+analysis and hands the result to :func:`assemble_report`, which verifies
+the compiled bytecode, runs every source rule, and aggregates everything
+into one sorted :class:`~repro.lint.diagnostics.LintReport`.
+``assemble_report`` is the only lint-report assembly: ``repro-analyze
+--lint`` and the service's ``lint`` op call it with their own analysis
+result, so a degraded run carries ``I001`` everywhere.
 
 :func:`lint_file` adds file handling and turns syntax errors into ``E001``
 diagnostics instead of exceptions, so the CLI always produces a report.
@@ -16,8 +19,8 @@ them (rule ``W009``), not crash on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 from ..analysis.driver import Analyzer
 from ..analysis.results import AnalysisResult
@@ -52,6 +55,67 @@ class LintOptions:
     on_budget: str = "degrade"
 
 
+def assemble_report(
+    compiled,
+    program: Program,
+    result: Optional[AnalysisResult],
+    file: str = "?",
+    verify: bool = True,
+    source: bool = True,
+    error: Optional[ReproError] = None,
+) -> LintReport:
+    """The sorted lint report for one analysis run.
+
+    ``compiled`` is the :class:`~repro.wam.compile.CompiledProgram` the
+    analysis ran on and ``program`` the parse the diagnostics point
+    into; ``result`` is None when the analysis raised ``error``.  The
+    error and every failed entry spec become ``E000``, a result that is
+    not exact adds one ``I001``, and ``verify``/``source`` switch the
+    bytecode verifier and the source rules.
+    """
+    report = LintReport()
+    failures = [] if error is None else [str(error)]
+    if result is not None and result.status != "exact":
+        # Entry specs whose analysis *errored* (not merely ran out of
+        # budget) keep the historical E000 semantics even in degrade
+        # mode — the result is sound but the error is still an error.
+        failures += [
+            entry_report.reason
+            for entry_report in result.entry_reports
+            if entry_report.status == "failed"
+        ]
+        non_exact = ", ".join(
+            f"{entry_report.spec} ({entry_report.status})"
+            for entry_report in result.entry_reports
+            if entry_report.status != "exact"
+        )
+        report.extend([Diagnostic(
+            code="I001",
+            severity="info",
+            message=(
+                f"analysis widened to ⊤ for entry {non_exact}; "
+                "precision-dependent rules (W003-W007, I008) are muted "
+                "for this run"
+            ),
+            file=file,
+        )])
+    report.extend(
+        Diagnostic(
+            code="E000",
+            severity="error",
+            message=f"analysis failed: {reason}",
+            file=file,
+        )
+        for reason in failures
+    )
+    if verify:
+        report.extend(verify_compiled(compiled, file=file, program=program))
+    if source:
+        report.extend(lint_source(program, result, file=file))
+    report.sort()
+    return report
+
+
 def lint_program(
     program: Union[Program, str],
     entries: Sequence[str],
@@ -63,7 +127,6 @@ def lint_program(
         options = LintOptions()
     if isinstance(program, str):
         program = Program.from_text(program)
-    report = LintReport()
     analyzer = Analyzer(
         program,
         options=CompilerOptions(
@@ -77,60 +140,15 @@ def lint_program(
         on_budget=options.on_budget,
     )
     result: Optional[AnalysisResult] = None
+    error: Optional[ReproError] = None
     try:
         result = analyzer.analyze(list(entries))
-    except ReproError as error:
-        report.extend(
-            [
-                Diagnostic(
-                    code="E000",
-                    severity="error",
-                    message=f"analysis failed: {error}",
-                    file=file,
-                )
-            ]
-        )
-    if result is not None and result.status != "exact":
-        # Entry specs whose analysis *errored* (not merely ran out of
-        # budget) keep the historical E000 semantics even in degrade
-        # mode — the result is sound but the error is still an error.
-        report.extend(
-            [
-                Diagnostic(
-                    code="E000",
-                    severity="error",
-                    message=f"analysis failed: {entry_report.reason}",
-                    file=file,
-                )
-                for entry_report in result.entry_reports
-                if entry_report.status == "failed"
-            ]
-        )
-        non_exact = ", ".join(
-            f"{entry_report.spec} ({entry_report.status})"
-            for entry_report in result.entry_reports
-            if entry_report.status != "exact"
-        )
-        report.extend(
-            [
-                Diagnostic(
-                    code="I001",
-                    severity="info",
-                    message=(
-                        "analysis widened to ⊤ for entry "
-                        f"{non_exact}; precision-dependent rules "
-                        "(W003-W007, I008) are muted for this run"
-                    ),
-                    file=file,
-                )
-            ]
-        )
-    if options.verify:
-        report.extend(verify_compiled(analyzer.compiled, file=file))
-    if options.source:
-        report.extend(lint_source(program, result, file=file))
-    report.sort()
-    return report
+    except ReproError as caught:
+        error = caught
+    return assemble_report(
+        analyzer.compiled, program, result, file=file,
+        verify=options.verify, source=options.source, error=error,
+    )
 
 
 def lint_file(

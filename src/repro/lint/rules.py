@@ -35,7 +35,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..analysis.results import AnalysisResult
 from ..domain.lattice import VAR_T, tree_is_ground, tree_leq
-from ..optimize.deadcode import clause_matches, find_dead_code
 from ..prolog.builtins import BUILTIN_INDICATORS
 from ..prolog.program import Clause, Program
 from ..prolog.terms import (
@@ -50,6 +49,7 @@ from ..prolog.terms import (
 )
 from ..prolog.writer import term_to_text
 from ..wam.builtins import MACHINE_BUILTIN_INDICATORS
+from .deadcode import clause_matches, find_dead_code
 from .diagnostics import Diagnostic
 
 #: Control constructs; their subgoals are walked, the constructs

@@ -25,12 +25,12 @@ the variable bindings at every program point; a goal pair is then
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..analysis.patterns import Pattern
 from ..analysis.results import AnalysisResult
 from ..baselines.absterms import AbsStore
-from ..baselines.meta import _META_BUILTINS, CUT
+from ..baselines.meta import META_BUILTINS, CUT
 from ..domain.sorts import AbsSort, sort_is_ground
 from ..prolog.program import Clause, Program, normalize_program
 from ..prolog.terms import (
@@ -207,7 +207,7 @@ class _ClauseAnnotator:
         indicator = indicator_of(goal)
         arg_terms = goal.args if isinstance(goal, Struct) else ()
         arg_ids = [store.from_term(term, env) for term in arg_terms]
-        builtin = _META_BUILTINS.get(indicator)
+        builtin = META_BUILTINS.get(indicator)
         if builtin is not None:
             holder = _AnalyzerShim(self.depth)
             return bool(builtin(holder, store, arg_ids))

@@ -5,7 +5,7 @@
 analyzed predicate's code with the facts applied:
 
 1. **Dead-clause elimination** — clauses whose head matches no recorded
-   calling pattern (:mod:`repro.optimize.deadcode`) are dropped before
+   calling pattern (:mod:`repro.lint.deadcode`) are dropped before
    recompilation; a predicate with no live clause becomes a ``fail``
    stub.
 2. **Forced first-argument indexing** — when the first argument is
@@ -49,11 +49,11 @@ budget interruption) are left untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..analysis.results import AnalysisResult
 from ..lint.dataflow import DeterminacyInfo, build_cfg, determinacy, x_liveness
-from ..optimize.deadcode import find_dead_code
+from ..lint.deadcode import find_dead_code
 from ..prolog.program import Predicate, Program, flatten_conjunction
 from ..prolog.terms import (
     Atom,
@@ -255,12 +255,19 @@ def goal_entry_specs(program: Program, goal: Term) -> List[Term]:
 
 def _argument_classes(info) -> Dict[int, Optional[str]]:
     """1-based argument position -> ``'ground'``/``'nonvar'``/``'var'``/None."""
-    from ..optimize.specialize import _argument_class
-
     return {
-        argument.position + 1: _argument_class(argument.call_type)
+        argument.position + 1: argument.call_class
         for argument in info.arguments
     }
+
+
+def _examined_position(instruction: Instr) -> Optional[int]:
+    """The argument position a specializable get examines (None for a
+    ``get_list``/``get_structure`` on a Y register)."""
+    target = instruction.args[-1]
+    if isinstance(target, Reg):
+        return target.index if target.kind == "x" else None
+    return target
 
 
 def _aliased_positions(info) -> Set[int]:
@@ -320,12 +327,8 @@ def _specialize_head_region(
             if isinstance(register, Reg) and register.kind == "x":
                 intact.discard(register.index)
         elif op in _SPECIALIZABLE_GETS:
-            position = (
-                args[-1].index if isinstance(args[-1], Reg) else args[-1]
-            )
-            if (
-                not isinstance(args[-1], Reg) or args[-1].kind == "x"
-            ) and position in intact:
+            position = _examined_position(instruction)
+            if position in intact:
                 klass = classes.get(position)
                 if klass in ("ground", "nonvar"):
                     instructions[index] = Instr(op + "_nv", args)

@@ -33,7 +33,7 @@ from ..wam.compile.program import CompiledProgram
 from ..wam.machine import Machine
 
 
-def _canonical_text(term: Term, names: Dict[int, str]) -> str:
+def canonical_text(term: Term, names: Dict[int, str]) -> str:
     """Render a term with variables renamed ``_0, _1, ...`` in order of
     first occurrence, so two heaps with different layouts compare equal
     exactly when the solutions are alpha-equivalent (including sharing:
@@ -45,7 +45,7 @@ def _canonical_text(term: Term, names: Dict[int, str]) -> str:
             names[id(term)] = label
         return label
     if isinstance(term, Struct):
-        inner = ",".join(_canonical_text(a, names) for a in term.args)
+        inner = ",".join(canonical_text(a, names) for a in term.args)
         return f"{term.name}({inner})"
     if isinstance(term, (Atom, Int, Float)):
         return term_to_text(term)
@@ -95,6 +95,18 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def canonical_solution(
+    solution: Dict[str, Term]
+) -> Tuple[Tuple[str, str], ...]:
+    """A solution's bindings as sorted ``(name, canonical_text)`` pairs,
+    variables numbered across the whole solution."""
+    names: Dict[int, str] = {}
+    return tuple(
+        (name, canonical_text(solution[name], names))
+        for name in sorted(solution)
+    )
+
+
 def _run_goal(
     compiled: CompiledProgram, goal: Term, max_solutions: Optional[int]
 ) -> Tuple[List[Tuple[Tuple[str, str], ...]], Tuple[str, ...], str]:
@@ -109,13 +121,7 @@ def _run_goal(
     error = ""
     try:
         for count, solution in enumerate(machine.run(goal), start=1):
-            names: Dict[int, str] = {}
-            solutions.append(
-                tuple(
-                    (name, _canonical_text(solution[name], names))
-                    for name in sorted(solution)
-                )
-            )
+            solutions.append(canonical_solution(solution))
             if max_solutions is not None and count >= max_solutions:
                 break
     except Exception as exc:  # noqa: BLE001 - anything the machine raises

@@ -515,27 +515,26 @@ class AnalysisService:
     # ------------------------------------------------------------------
 
     def _lint(self, request: dict) -> dict:
-        """Lint = the (cached) analysis plus the bytecode verifier and
-        the source rules, which are cheap and run fresh every time.
+        """Lint = the (cached) analysis plus
+        :func:`~repro.lint.assemble_report` (analysis status, bytecode
+        verifier, source rules), which is cheap and runs fresh every time.
 
         The rule engine needs a live :class:`AnalysisResult`, so a
         full-result cache hit still runs the fixpoint, fully seeded:
         one confirming pass."""
-        from ..lint import lint_source, verify_compiled
-        from ..lint.diagnostics import LintReport
+        from ..lint import assemble_report
 
         analysis, result, prepared = self._analyze_core(
             request, need_live=True
         )
         if not analysis.get("ok") or result is None:
             return analysis
-        report = LintReport()
-        file_name = request.get("file", "?")
-        report.extend(verify_compiled(
-            prepared.compiled, file=file_name, program=prepared.program
-        ))
-        report.extend(lint_source(prepared.program, result, file=file_name))
-        report.sort()
+        report = assemble_report(
+            prepared.compiled,
+            prepared.program,
+            result,
+            file=request.get("file", "?"),
+        )
         return {
             "ok": True,
             "status": result.status,

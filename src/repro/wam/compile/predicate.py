@@ -38,7 +38,7 @@ from .clause import CompilerOptions, compile_clause
 FAIL_TARGET = -1
 
 
-def _first_argument_key(head: Term):
+def first_argument_key(head: Term):
     """Dispatch key of a clause head: ``'var'``, ``('const', c)``,
     ``'list'`` or ``('struct', indicator)``."""
     if not isinstance(head, Struct):
@@ -94,7 +94,7 @@ class _PredicateAssembler:
             self.code.extend(compiled[0])
             return self._finish()
 
-        keys = [_first_argument_key(clause.head) for clause in clauses]
+        keys = [first_argument_key(clause.head) for clause in clauses]
         use_switch = self.predicate.arity > 0 and (
             (self.options.indexing and all(key != "var" for key in keys))
             or (self.force_index and any(key != "var" for key in keys))

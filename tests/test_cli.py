@@ -266,6 +266,34 @@ class TestCliBudgets:
         assert "I001" in out
         assert "muted" in out
 
+    def test_every_lint_report_carries_i001_on_a_degraded_run(
+        self, tmp_path, capsys
+    ):
+        # One lint-report assembly: repro-lint, repro-analyze --lint and
+        # the served lint op all say the analysis was widened.
+        from repro.bench import get_benchmark
+        from repro.serve import AnalysisService, ServiceConfig
+
+        bench = get_benchmark("queens_8")
+        path = tmp_path / "queens_8.pl"
+        path.write_text(bench.source)
+        entry = str(bench.entry)
+        assert main_lint([str(path), entry, "--max-steps", "50"]) == 0
+        assert "I001" in capsys.readouterr().out
+        assert main_analyze(
+            [str(path), entry, "--max-steps", "50", "--lint"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "% status: degraded" in out
+        assert "I001" in out
+        served = AnalysisService(ServiceConfig()).handle({
+            "op": "lint", "text": bench.source, "entries": [entry],
+            "budget": {"max_steps": 50},
+        })
+        assert served["status"] == "degraded"
+        codes = [d["code"] for d in served["lint"]["diagnostics"]]
+        assert "I001" in codes
+
     def test_prolog_step_budget_trips(self, program_file, capsys):
         code = main_prolog(
             [program_file, "nrev([1,2,3,4,5,6,7,8], R)", "--max-steps", "10"]

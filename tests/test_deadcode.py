@@ -1,7 +1,7 @@
 """Tests for dead-code detection."""
 
 from repro.analysis import Analyzer
-from repro.optimize import find_dead_code
+from repro.lint import find_dead_code
 from repro.prolog import Program
 
 

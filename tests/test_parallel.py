@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import Analyzer
-from repro.optimize import annotate_parallelism
+from repro.opt import annotate_parallelism
 from repro.prolog import Program
 
 

@@ -473,6 +473,46 @@ def test_shard_respawns_and_warms_up_after_backend_death():
     asyncio.run(scenario())
 
 
+def test_shard_strikes_back_off_a_failing_backend_factory():
+    # The shard's own strike count is the only backoff when the factory
+    # itself raises (an in-process backend's DiskStore cannot create
+    # its partition, say): no WorkerPool is there to see the failure.
+    async def scenario():
+        calls = []
+
+        def factory(shard_id):
+            calls.append(shard_id)
+            if len(calls) <= 2:
+                raise OSError("store partition unavailable")
+            return AnalysisService(ServiceConfig())
+
+        gateway = Gateway(
+            GatewayConfig(shards=1, workers=0), backend_factory=factory
+        )
+        await gateway.start()
+        reader, writer = await _connect(gateway)
+        try:
+            request = {
+                "op": "analyze", "text": NREV,
+                "entries": ["nrev(glist, var)"],
+            }
+            for strikes in (1, 2):
+                shed = await _ask(reader, writer, dict(request))
+                assert shed["ok"] is False
+                assert shed["reason"] == "shard-respawning"
+                assert gateway.shards[0].stats()["strikes"] == strikes
+            served = await _ask(reader, writer, dict(request))
+            assert served["ok"], served
+            assert served["result"] == _scratch(NREV, "nrev(glist, var)")
+            assert gateway.shards[0].stats()["strikes"] == 0
+            assert len(calls) == 3
+        finally:
+            writer.close()
+            await gateway.stop()
+
+    asyncio.run(scenario())
+
+
 # ----------------------------------------------------------------------
 # Protocol abuse over the socket.
 

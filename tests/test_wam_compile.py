@@ -5,7 +5,7 @@ import pytest
 from repro.prolog import Clause, Program, parse_term
 from repro.wam import CompilerOptions, compile_clause, compile_program
 from repro.wam.compile.classify import analyze_clause, goal_kind
-from repro.wam.compile.predicate import _first_argument_key, compile_predicate
+from repro.wam.compile.predicate import compile_predicate, first_argument_key
 from repro.wam.instructions import Reg
 from repro.wam.listing import format_unit
 
@@ -261,14 +261,14 @@ class TestPredicateAssembly:
         assert "try" in names and "trust" in names
 
     def test_first_argument_keys(self):
-        assert _first_argument_key(parse_term("p(X)")) == "var"
-        assert _first_argument_key(parse_term("p([])")) == (
+        assert first_argument_key(parse_term("p(X)")) == "var"
+        assert first_argument_key(parse_term("p([])")) == (
             "const",
             parse_term("[]"),
         )
-        assert _first_argument_key(parse_term("p([H|T])")) == "list"
-        assert _first_argument_key(parse_term("p(f(X))")) == ("struct", ("f", 1))
-        assert _first_argument_key(parse_term("p")) == "var"
+        assert first_argument_key(parse_term("p([H|T])")) == "list"
+        assert first_argument_key(parse_term("p(f(X))")) == ("struct", ("f", 1))
+        assert first_argument_key(parse_term("p")) == "var"
 
 
 class TestProgramCompilation:
