@@ -21,6 +21,12 @@ and table accounting stays identical whichever loop or layer produces
 it.  A deliberate accounting change regenerates them with::
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.regenerate_metrics()"
+
+``tests/golden/fuzz_slice.json`` pins the same plain driver on programs
+no engine change was tuned on: ``repro.fuzz.grammar.generate_program``
+for seeds 0-39, each with its canonical result and the search counters
+in :data:`FUZZ_SLICE_METRICS`.  :func:`regenerate` rewrites it with the
+result goldens.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import pytest
 
 from repro.analysis.driver import Analyzer
 from repro.bench.programs import BENCHMARKS
+from repro.fuzz.grammar import generate_program
 from repro.obs import MetricsRegistry
 from repro.serve.service import AnalysisService
 
@@ -42,6 +49,17 @@ METRICS_DIR = GOLDEN_DIR / "metrics"
 #: registry also holds the service's own ``serve.*`` keys.
 CORE_PREFIXES = ("wam.", "analysis.", "table.")
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+FUZZ_SLICE = GOLDEN_DIR / "fuzz_slice.json"
+FUZZ_SLICE_SEEDS = range(40)
+#: The counters a fuzz-slice golden keeps per program: together they pin
+#: how the search went, not only where it ended.
+FUZZ_SLICE_METRICS = (
+    "analysis.iterations",
+    "wam.instructions",
+    "table.lookups",
+    "table.updates",
+    "wam.trail.peak",
+)
 
 
 def _cases() -> List[Tuple[str, str, List[str]]]:
@@ -87,14 +105,32 @@ def driver_metrics(text: str, entries: List[str]) -> dict:
     return core_metrics(registry.snapshot())
 
 
+def fuzz_slice_case(seed: int) -> dict:
+    """One generated program's entry specs, result and search counters."""
+    program = generate_program(seed)
+    registry = MetricsRegistry()
+    result = Analyzer(program.source, metrics=registry).analyze(program.entries)
+    snapshot = registry.snapshot()
+    return {
+        "entries": program.entries,
+        "metrics": {name: snapshot[name]["value"] for name in FUZZ_SLICE_METRICS},
+        "result": result.stable_dict(),
+    }
+
+
 def regenerate() -> None:
-    """Rewrite every golden file from the plain driver."""
+    """Rewrite every result golden, the fuzz slice included, from the
+    plain driver."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, text, entries in CASES:
         stable = Analyzer(text).analyze(entries).stable_dict()
         (GOLDEN_DIR / f"{name}.json").write_text(
             canonical(stable), encoding="utf-8"
         )
+    FUZZ_SLICE.write_text(
+        canonical({str(seed): fuzz_slice_case(seed) for seed in FUZZ_SLICE_SEEDS}),
+        encoding="utf-8",
+    )
 
 
 def regenerate_metrics() -> None:
@@ -134,3 +170,19 @@ def test_golden_metrics(name, text, entries):
     cold = service.handle({"op": "analyze", "text": text, "entries": entries})
     assert cold["cache"]["outcome"] == "miss"
     assert core_metrics(service.metrics.snapshot()) == golden
+
+
+@pytest.fixture(scope="module")
+def fuzz_slice_golden() -> dict:
+    return json.loads(FUZZ_SLICE.read_text(encoding="utf-8"))
+
+
+def test_fuzz_slice_covers_its_seeds(fuzz_slice_golden):
+    assert sorted(map(int, fuzz_slice_golden)) == list(FUZZ_SLICE_SEEDS)
+
+
+@pytest.mark.parametrize("seed", FUZZ_SLICE_SEEDS)
+def test_fuzz_slice(seed, fuzz_slice_golden):
+    assert canonical(fuzz_slice_case(seed)) == canonical(
+        fuzz_slice_golden[str(seed)]
+    )
