@@ -28,7 +28,7 @@ from ..domain.lattice import (
     Tree,
     tree_is_ground,
 )
-from ..domain.sorts import AbsSort
+from ..domain.sorts import AbsSort, sort_is_ground
 from ..errors import AnalysisError
 from ..prolog.terms import NIL, Atom, Float, Int
 from ..wam.cells import CON, FUN, LIS, REF, STR, Cell, Heap
@@ -169,8 +169,6 @@ def cell_summary(heap: Heap, cell: Cell, _visiting: Optional[set] = None) -> Abs
 
 
 def _compound_summary(part_sorts) -> AbsSort:
-    from ..domain.sorts import sort_is_ground
-
     if all(sort_is_ground(sort) for sort in part_sorts):
         return AbsSort.GROUND
     return AbsSort.NV

@@ -23,13 +23,16 @@ from ..domain.lattice import (
     ANY_T,
     GROUND_T,
     Tree,
+    tree_is_empty,
+    tree_is_ground,
     tree_unify,
 )
 from ..domain.sorts import AbsSort
 from ..errors import AnalysisError
 from ..prolog.terms import NIL, Indicator
 from ..wam.cells import CON, FUN, LIS, REF, STR, Cell, Heap
-from .aheap import ABS, abs_tree, constant_tree, deref, make_abs
+from .aheap import ABS, abs_tree, constant_tree, make_abs, materialize
+from .patterns import collect_share_points
 
 
 def complex_term_inst(
@@ -44,15 +47,11 @@ def complex_term_inst(
     car and a ``list(α)`` cdr.  Returns None when the sort cannot contain a
     ``functor`` term at all.
     """
-    from .aheap import materialize
-
     name, arity = functor
     if sort == AbsSort.LIST:
         if name != "." or arity != 2:
             return None
         assert elem is not None
-        from ..domain.lattice import tree_is_empty
-
         if tree_is_empty(elem):
             # list(empty) is exactly []; it cannot grow a cons cell.
             return None
@@ -239,8 +238,6 @@ def _unify_abs_concrete(
 
 def _growth_can_share(sort: AbsSort, elem) -> bool:
     """Can components grown from this instance ever be non-ground?"""
-    from ..domain.lattice import tree_is_ground
-
     if sort in (AbsSort.ANY, AbsSort.NV):
         return True
     if sort == AbsSort.LIST:
@@ -259,8 +256,6 @@ def register_growth_sharing(heap: Heap, source_address: int, instance: Cell) -> 
     component into the source's sharing class makes that possibility
     visible to :func:`repro.analysis.patterns.cell_share_pairs`.
     """
-    from .patterns import collect_share_points  # circular at module load
-
     points: set = set()
     for slot in _struct_args(heap, instance):
         collect_share_points(heap, slot, points)

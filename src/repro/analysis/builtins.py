@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from ..domain.lattice import ANY_T, INTEGER_T, Tree, tree_unify
-from ..domain.sorts import AbsSort
+from ..domain.lattice import ANY_T, INTEGER_T, Tree
+from ..domain.sorts import AbsSort, sort_glb, sort_unify
 from ..prolog.terms import Indicator
 from ..wam.cells import CON, LIS, REF, STR, Cell
-from .aheap import cell_summary, deref, make_abs
+from .aheap import cell_summary, deref, make_abs, materialize
 from .aunify import s_unify
+from .patterns import tree_of_cell
 
 AbstractBuiltinFn = Callable[[object], bool]
 
@@ -63,8 +64,6 @@ def _ab_succeed_no_bindings(machine) -> bool:
 
 def _ab_type_test(target: AbsSort) -> AbstractBuiltinFn:
     def builtin(machine) -> bool:
-        from ..domain.sorts import sort_glb
-
         # A definite variable fails every type test; otherwise succeed
         # unless the sorts are provably disjoint.
         return sort_glb(_summary(machine, 1), target) != AbsSort.EMPTY
@@ -143,9 +142,6 @@ def _ab_univ(machine) -> bool:
 
 
 def _ab_copy_term(machine) -> bool:
-    from .patterns import tree_of_cell
-    from .aheap import materialize
-
     tree = tree_of_cell(machine.heap, _arg(machine, 1), machine.depth)
     copy_cell = materialize(machine.heap, tree)
     return s_unify(machine.heap, _arg(machine, 2), copy_cell)
@@ -164,8 +160,6 @@ def _ab_output(machine) -> bool:
 
 def _ab_atom_length(machine) -> bool:
     summary = _summary(machine, 1)
-    from ..domain.sorts import sort_unify
-
     if sort_unify(summary, AbsSort.ATOM) == AbsSort.EMPTY:
         return False
     return _bind_sort(machine, 2, AbsSort.INTEGER)

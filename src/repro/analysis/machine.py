@@ -31,7 +31,8 @@ from typing import Dict, List, Optional, Tuple
 from ..domain.concrete import DEFAULT_DEPTH
 from ..errors import AnalysisError, PrologError
 from ..prolog.terms import NIL, Indicator, format_indicator
-from ..wam.cells import CON, LIS, REF, STR, Cell
+from ..robust import all_share_pairs, top_success_pattern
+from ..wam.cells import CON, FUN, LIS, REF, STR, Cell
 from ..wam.compile import CompiledProgram, HALT_ADDRESS, PROCEED_ADDRESS
 from ..wam.instructions import Instr
 from ..wam.machine import Machine
@@ -42,12 +43,14 @@ from .aunify import (
     register_growth_sharing,
     s_unify,
 )
+from .builtins import ABSTRACT_BUILTINS
 from .patterns import (
     Pattern,
     abstract_cells,
     cell_share_pairs,
     collect_share_points,
     materialize_pattern,
+    node_is_ground,
     pattern_subsumes,
 )
 from .table import ExtensionTable, TableEntry
@@ -112,8 +115,6 @@ class AbstractMachine(Machine):
         fault_plan=None,
     ):
         super().__init__(compiled, max_steps=max_steps)
-        from .builtins import ABSTRACT_BUILTINS
-
         self.table = table if table is not None else ExtensionTable()
         #: Plain counters the driver reports as metrics once the spec is
         #: done (record_metrics): abstract unifications, the exploration
@@ -215,9 +216,7 @@ class AbstractMachine(Machine):
     def _do_call(self, indicator: Indicator, ret: int):
         arity = indicator[1]
         args = tuple(self.x[1 : arity + 1])
-        calling = abstract_cells(
-            self.heap, list(args), self.depth, self.list_aware
-        )
+        calling = abstract_cells(self.heap, args, self.depth, self.list_aware)
         if self.tracer is not None:
             self.tracer.event(
                 f"call {format_indicator(indicator)}{calling}"
@@ -254,22 +253,13 @@ class AbstractMachine(Machine):
                     )
                 if self.on_undefined == "fail":
                     return "fail"
-                # "top": the unknown predicate may succeed with anything;
-                # record a top success pattern so callers see `any`.
-                from ..domain.sorts import AbsSort
-
-                top = Pattern(
-                    tuple(
-                        ("i", AbsSort.ANY, index) for index in range(arity)
-                    )
+                # "top": the unknown predicate may succeed with anything
+                # and alias any pair of its arguments; record a top
+                # success pattern so callers see `any`.
+                self.table.update(
+                    indicator, calling,
+                    top_success_pattern(arity), all_share_pairs(arity),
                 )
-                # Unknown code could alias any pair of its arguments.
-                all_pairs = frozenset(
-                    (i, j)
-                    for i in range(arity)
-                    for j in range(i + 1, arity)
-                )
-                self.table.update(indicator, calling, top, all_pairs)
                 return self._apply_success(entry, args, ret)
             return self._apply_success(entry, args, ret)
         frame = ExplorationFrame(
@@ -352,9 +342,11 @@ class AbstractMachine(Machine):
                 self.service_proceeds.get(frame.indicator, 0) + 1
             )
         success = abstract_cells(
-            self.heap, list(frame.materialized), self.depth, self.list_aware
+            self.heap, frame.materialized, self.depth, self.list_aware
         )
-        if len(frame.materialized) > 1:
+        # A ground argument reaches no share point, so unless two
+        # arguments are non-ground no pair can share beyond the pattern.
+        if sum(not node_is_ground(node) for node in success.args) > 1:
             extra_share = cell_share_pairs(self.heap, frame.materialized)
         else:
             extra_share = frozenset()
@@ -453,8 +445,6 @@ class AbstractMachine(Machine):
         cell, address = deref(self.heap, self.get_reg(register))
         tag = cell[0]
         if tag == REF:
-            from ..wam.cells import FUN
-
             functor_address = self.heap.push((FUN, functor))
             self.heap.set_cell(address, (STR, functor_address))  # type: ignore[arg-type]
             self.mode = "write"

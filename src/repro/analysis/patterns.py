@@ -25,23 +25,25 @@ away, which is the sound direction for an over-approximating analysis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..domain.concrete import DEFAULT_DEPTH
 from ..domain.lattice import (
     ANY_T,
     EMPTY_T,
+    GROUND_SORTS,
+    VAR_T,
     Tree,
     tree_is_ground,
+    tree_leq,
     tree_lub,
     tree_summary_sort,
     tree_to_text,
 )
-from ..domain.sorts import AbsSort, sort_is_ground
+from ..domain.sorts import AbsSort
 from ..errors import AnalysisError
-from ..prolog.terms import NIL, Atom, Float, Int
-from ..wam.cells import CON, LIS, REF, STR, Cell, Heap
+from ..prolog.terms import NIL, Atom, Int
+from ..wam.cells import CON, FUN, LIS, REF, STR, Cell, Heap
 from .aheap import ABS, cell_summary, deref, make_abs
 
 
@@ -57,16 +59,22 @@ Node = tuple
 
 
 class Pattern:
-    """A canonical abstract argument tuple (immutable, hash cached)."""
+    """A canonical abstract argument tuple (immutable; hash and share
+    pairs cached)."""
 
-    __slots__ = ("args", "_hash")
+    __slots__ = ("args", "_hash", "_share_pairs")
 
     def __init__(self, args: Tuple[Node, ...]):
         self.args = args
         self._hash = hash(args)
+        self._share_pairs: Optional[FrozenSet[Tuple[int, int]]] = None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Pattern) and other.args == self.args
+        return self is other or (
+            isinstance(other, Pattern)
+            and other._hash == self._hash
+            and other.args == self.args
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -85,69 +93,9 @@ class Pattern:
 # ----------------------------------------------------------------------
 # Tree abstraction of a heap term (no sharing info).
 
-def tree_of_cell(
-    heap: Heap,
-    cell: Cell,
-    depth: int = DEFAULT_DEPTH,
-    _path: Optional[Set[int]] = None,
-    widen: Optional[Set[int]] = None,
-) -> Tree:
-    """The type tree of the term rooted at ``cell``, depth-restricted.
-
-    ``widen`` holds variable addresses with hidden aliases (see
-    :func:`_survey_hidden_aliases`): they abstract to ``any``.
-    """
-    if _path is None:
-        _path = set()
-    if widen is None:
-        widen = frozenset()
-    cell, address = deref(heap, cell)
-    if address is not None:
-        if address in _path:
-            return ANY_T  # cyclic term: give up precisely but soundly
-        _path = _path | {address}
-    tag = cell[0]
-    if tag == REF:
-        if address in widen:
-            return ("s", AbsSort.ANY)
-        return ("s", AbsSort.VAR)
-    if tag == ABS:
-        sort, elem = cell[1]  # type: ignore[misc]
-        if sort == AbsSort.LIST:
-            assert elem is not None
-            return ("l", clip_tree(elem, depth - 1))
-        return ("s", sort)
-    if tag == CON:
-        return _constant_leaf_tree(cell[1])
-    if depth <= 0:
-        return ("s", cell_summary(heap, cell))
-    if tag == LIS:
-        proper, elements, tail_elem = _walk_spine(heap, cell, _path)
-        if proper:
-            elem = tail_elem if tail_elem is not None else EMPTY_T
-            for element in elements:
-                elem = tree_lub(
-                    elem, tree_of_cell(heap, element, depth - 1, _path, widen)
-                )
-            return ("l", elem)
-        head_cell = _slot(heap, cell[1])  # type: ignore[arg-type]
-        tail_cell = _slot(heap, cell[1] + 1)  # type: ignore[arg-type]
-        return (
-            "f",
-            ".",
-            2,
-            (
-                tree_of_cell(heap, head_cell, depth - 1, _path, widen),
-                tree_of_cell(heap, tail_cell, depth - 1, _path, widen),
-            ),
-        )
-    assert tag == STR
-    name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-    args = tuple(
-        tree_of_cell(heap, _slot(heap, cell[1] + 1 + i), depth - 1, _path, widen)  # type: ignore[arg-type]
-        for i in range(arity)
-    )
-    return ("f", name, arity, args)
+def tree_of_cell(heap: Heap, cell: Cell, depth: int = DEFAULT_DEPTH) -> Tree:
+    """The type tree of the term rooted at ``cell``, depth-restricted."""
+    return _Abstractor(heap, depth).tree(cell, depth)
 
 
 def _constant_leaf_tree(constant) -> Tree:
@@ -160,7 +108,7 @@ def _constant_leaf_tree(constant) -> Tree:
     return ("s", AbsSort.CONST)
 
 
-def _walk_spine(heap: Heap, cell: Cell, path: Set[int]):
+def _walk_spine(heap: Heap, cell: Cell):
     """Walk a list spine: (is_proper, element_cells, tail_elem_tree)."""
     elements: List[Cell] = []
     seen: Set[int] = set()
@@ -243,7 +191,7 @@ def _survey_hidden_aliases(heap: Heap, cells) -> Set[int]:
 
     def _walk_compound(cell: Cell, inside: bool, path: FrozenSet[int]) -> None:
         if cell[0] == LIS:
-            proper, elements, _ = _walk_spine(heap, cell, set(path))
+            proper, elements, _ = _walk_spine(heap, cell)
             if proper:
                 for element in elements:
                     walk(element, True, path)
@@ -265,94 +213,173 @@ def _survey_hidden_aliases(heap: Heap, cells) -> Set[int]:
 
 
 class _Abstractor:
+    """One abstraction walk over a tuple of heap terms.
+
+    It numbers instance ids canonically as it builds the nodes, in the
+    same depth-first order :func:`canonicalize` renumbers them: a ground
+    leaf (and a cell with no address) takes a fresh id, and any other
+    leaf the id of its heap address, first occurrence first.  Ground
+    leaves never share an id, because a ground term cannot be further
+    instantiated, so aliasing between ground positions constrains
+    nothing.
+
+    ``widen`` holds variable addresses with hidden aliases (see
+    :func:`_survey_hidden_aliases`): they abstract to ``any``.
+    ``met_var`` records whether the walk abstracted a free variable,
+    the only kind of cell ``widen`` can change.
+    """
+
     def __init__(
         self,
         heap: Heap,
         depth: int,
-        widen: Optional[Set[int]] = None,
+        widen: FrozenSet[int] = frozenset(),
         list_aware: bool = True,
     ):
         self.heap = heap
         self.depth = depth
-        self.ids: Dict[int, int] = {}
-        self.counter = itertools.count(0)
-        self.widen: Set[int] = widen if widen is not None else set()
+        self.widen = widen
         self.list_aware = list_aware
+        self.ids: Dict[int, int] = {}
+        self.next_id = 0
+        self.met_var = False
+        #: Addresses of the compound cells enclosing the current one: a
+        #: cell met again inside itself is a cyclic term.
+        self.path: Set[int] = set()
 
-    def _ident(self, address: Optional[int]) -> int:
-        if address is None:
-            return next(self.counter)
-        existing = self.ids.get(address)
-        if existing is None:
-            existing = next(self.counter)
-            self.ids[address] = existing
-        return existing
+    def pattern(self, cells) -> Pattern:
+        depth = self.depth
+        return Pattern(tuple(self.node(cell, depth) for cell in cells))
 
-    def node(self, cell: Cell, depth: int, path: FrozenSet[int]) -> Node:
+    def _leaf(self, kind: str, value, address: Optional[int]) -> Node:
+        if address is None or leaf_is_ground(kind, value):
+            ident = self.next_id
+            self.next_id += 1
+        else:
+            ident = self.ids.get(address)
+            if ident is None:
+                ident = self.ids[address] = self.next_id
+                self.next_id += 1
+        return (kind, value, ident)
+
+    def node(self, cell: Cell, depth: int) -> Node:
         heap = self.heap
         cell, address = deref(heap, cell)
-        if address is not None and address in path:
-            return ("i", AbsSort.ANY, self._ident(None))
-        if address is not None:
-            path = path | {address}
+        if address is not None and address in self.path:
+            return self._leaf("i", AbsSort.ANY, None)  # cyclic term
         tag = cell[0]
         if tag == REF:
-            if address in self.widen:
-                return ("i", AbsSort.ANY, self._ident(address))
-            return ("i", AbsSort.VAR, self._ident(address))
+            self.met_var = True
+            sort = AbsSort.ANY if address in self.widen else AbsSort.VAR
+            return self._leaf("i", sort, address)
         if tag == ABS:
             sort, elem = cell[1]  # type: ignore[misc]
             if sort == AbsSort.LIST:
                 assert elem is not None
-                return ("li", clip_tree(elem, depth - 1), self._ident(address))
-            return ("i", sort, self._ident(address))
+                return self._leaf("li", clip_tree(elem, depth - 1), address)
+            return self._leaf("i", sort, address)
         if tag == CON:
             if not self.list_aware and cell[1] == NIL:
                 # Without list awareness [] is just an atom.
-                return ("i", AbsSort.ATOM, self._ident(address))
+                return self._leaf("i", AbsSort.ATOM, address)
             leaf = _constant_leaf_tree(cell[1])
-            if leaf[0] == "l":
-                return ("li", leaf[1], self._ident(address))
-            return ("i", leaf[1], self._ident(address))
+            return self._leaf(
+                "li" if leaf[0] == "l" else "i", leaf[1], address
+            )
         if depth <= 0:
-            summary = cell_summary(heap, cell)
-            if summary == AbsSort.VAR and address in self.widen:
-                summary = AbsSort.ANY
-            return ("i", summary, self._ident(address))
+            return self._leaf("i", cell_summary(heap, cell), address)
+        if address is not None:
+            self.path.add(address)
         if tag == LIS:
             proper, elements, tail_elem = (
-                _walk_spine(heap, cell, set(path))
+                _walk_spine(heap, cell)
                 if self.list_aware
                 else (False, [], None)
             )
             if proper:
                 elem = tail_elem if tail_elem is not None else EMPTY_T
                 for element in elements:
-                    elem = tree_lub(
-                        elem,
-                        tree_of_cell(
-                            heap, element, depth - 1, set(path), self.widen
-                        ),
-                    )
-                return ("li", elem, self._ident(address))
-            head_cell = _slot(heap, cell[1])  # type: ignore[arg-type]
-            tail_cell = _slot(heap, cell[1] + 1)  # type: ignore[arg-type]
-            return (
+                    elem = tree_lub(elem, self.tree(element, depth - 1))
+                node = self._leaf("li", elem, address)
+            else:
+                node = (
+                    "f",
+                    ".",
+                    2,
+                    (
+                        self.node(_slot(heap, cell[1]), depth - 1),  # type: ignore[arg-type]
+                        self.node(_slot(heap, cell[1] + 1), depth - 1),  # type: ignore[arg-type]
+                    ),
+                )
+        else:
+            assert tag == STR
+            name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
+            node = (
                 "f",
-                ".",
-                2,
-                (
-                    self.node(head_cell, depth - 1, path),
-                    self.node(tail_cell, depth - 1, path),
+                name,
+                arity,
+                tuple(
+                    self.node(_slot(heap, cell[1] + 1 + i), depth - 1)  # type: ignore[arg-type]
+                    for i in range(arity)
                 ),
             )
-        assert tag == STR
-        name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-        args = tuple(
-            self.node(_slot(heap, cell[1] + 1 + i), depth - 1, path)  # type: ignore[arg-type]
-            for i in range(arity)
-        )
-        return ("f", name, arity, args)
+        self.path.discard(address)  # type: ignore[arg-type]
+        return node
+
+    def tree(self, cell: Cell, depth: int) -> Tree:
+        """The type tree of a term (no instance ids): how list elements
+        are abstracted, and :func:`tree_of_cell`."""
+        heap = self.heap
+        cell, address = deref(heap, cell)
+        if address is not None and address in self.path:
+            return ANY_T  # cyclic term: give up precisely but soundly
+        tag = cell[0]
+        if tag == REF:
+            self.met_var = True
+            return ANY_T if address in self.widen else VAR_T
+        if tag == ABS:
+            sort, elem = cell[1]  # type: ignore[misc]
+            if sort == AbsSort.LIST:
+                assert elem is not None
+                return ("l", clip_tree(elem, depth - 1))
+            return ("s", sort)
+        if tag == CON:
+            return _constant_leaf_tree(cell[1])
+        if depth <= 0:
+            return ("s", cell_summary(heap, cell))
+        if address is not None:
+            self.path.add(address)
+        if tag == LIS:
+            proper, elements, tail_elem = _walk_spine(heap, cell)
+            if proper:
+                tree = tail_elem if tail_elem is not None else EMPTY_T
+                for element in elements:
+                    tree = tree_lub(tree, self.tree(element, depth - 1))
+                tree = ("l", tree)
+            else:
+                tree = (
+                    "f",
+                    ".",
+                    2,
+                    (
+                        self.tree(_slot(heap, cell[1]), depth - 1),  # type: ignore[arg-type]
+                        self.tree(_slot(heap, cell[1] + 1), depth - 1),  # type: ignore[arg-type]
+                    ),
+                )
+        else:
+            assert tag == STR
+            name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
+            tree = (
+                "f",
+                name,
+                arity,
+                tuple(
+                    self.tree(_slot(heap, cell[1] + 1 + i), depth - 1)  # type: ignore[arg-type]
+                    for i in range(arity)
+                ),
+            )
+        self.path.discard(address)  # type: ignore[arg-type]
+        return tree
 
 
 def abstract_cells(
@@ -363,17 +390,22 @@ def abstract_cells(
 ) -> Pattern:
     """Abstract an argument tuple into a canonical pattern.
 
+    One walk builds the nodes and numbers them canonically.  Only when
+    it abstracted a free variable does the hidden-alias survey run, and
+    only when the survey widens something does the walk run again.
+
     With ``list_aware=False`` (the ablation of the paper's α-list type),
     proper lists are kept as depth-limited cons structures and ``[]`` is a
     plain atom — the precision the paper calls "usually very useful" goes
     away, measurably.
     """
-    widen = _survey_hidden_aliases(heap, cells) if list_aware else set()
-    abstractor = _Abstractor(heap, depth, widen, list_aware=list_aware)
-    nodes = tuple(
-        abstractor.node(cell, depth, frozenset()) for cell in cells
-    )
-    return canonicalize(Pattern(nodes))
+    walk = _Abstractor(heap, depth, list_aware=list_aware)
+    pattern = walk.pattern(cells)
+    if walk.met_var and list_aware:
+        widen = _survey_hidden_aliases(heap, cells)
+        if widen:
+            pattern = _Abstractor(heap, depth, widen, list_aware).pattern(cells)
+    return pattern
 
 
 # ----------------------------------------------------------------------
@@ -414,8 +446,6 @@ def materialize_pattern(heap: Heap, pattern: Pattern) -> List[Cell]:
             address = heap.top
             heap.cells.extend(children)
             return (LIS, address)
-        from ..wam.cells import FUN
-
         functor_address = heap.push((FUN, (name, arity)))
         heap.cells.extend(children)
         return (STR, functor_address)
@@ -453,6 +483,21 @@ def pattern_to_trees(pattern: Pattern) -> Tuple[Tree, ...]:
     return tuple(node_to_tree(node) for node in pattern.args)
 
 
+def leaf_is_ground(kind: str, value) -> bool:
+    """Is the leaf ``(kind, value, id)`` ground?  ``value`` is the sort
+    of an ``'i'`` leaf and the element tree of an ``'li'`` leaf."""
+    if kind == "i":
+        return value in GROUND_SORTS
+    return tree_is_ground(value)
+
+
+def node_is_ground(node: Node) -> bool:
+    """Does the node denote only ground terms?"""
+    if node[0] == "f":
+        return all(map(node_is_ground, node[3]))
+    return leaf_is_ground(node[0], node[1])
+
+
 def canonicalize(pattern: Pattern) -> Pattern:
     """Renumber instance ids in first-occurrence (DFS) order.
 
@@ -462,15 +507,13 @@ def canonicalize(pattern: Pattern) -> Pattern:
     identical patterns (one annotating ground sharing, one not)
     canonicalize to different values.
     """
-    from ..domain.lattice import tree_is_ground
-
     mapping: Dict[int, int] = {}
     next_free = itertools.count()
 
     def renumber(node: Node) -> Node:
         kind = node[0]
         if kind in ("i", "li"):
-            if tree_is_ground(node_to_tree(node)):
+            if leaf_is_ground(kind, node[1]):
                 return (kind, node[1], next(next_free))
             ident = node[2]
             new = mapping.get(ident)
@@ -507,8 +550,6 @@ def pattern_lub(a: Pattern, b: Pattern) -> Pattern:
 
 def pattern_leq(a: Pattern, b: Pattern) -> bool:
     """Order on patterns ignoring sharing (tree inclusion pointwise)."""
-    from ..domain.lattice import tree_leq
-
     if len(a.args) != len(b.args):
         return False
     return all(
@@ -546,7 +587,14 @@ def pattern_subsumes(general: Pattern, specific: Pattern) -> bool:
 
 
 def share_pairs(pattern: Pattern) -> FrozenSet[Tuple[int, int]]:
-    """Argument index pairs that share at least one abstract instance."""
+    """Argument index pairs that share at least one abstract instance
+    (computed once per pattern)."""
+    if pattern._share_pairs is None:
+        pattern._share_pairs = _share_pairs(pattern)
+    return pattern._share_pairs
+
+
+def _share_pairs(pattern: Pattern) -> FrozenSet[Tuple[int, int]]:
     by_id: Dict[int, Set[int]] = {}
     for index, node in enumerate(pattern.args):
         ids: List[int] = []
@@ -613,7 +661,7 @@ def collect_share_points(heap: Heap, cell: Cell, into: Set[int]) -> None:
             if not tree_is_ground(elem):
                 into.add(address)  # type: ignore[arg-type]
             return
-        if not sort_is_ground(sort):
+        if sort not in GROUND_SORTS:
             into.add(address)  # type: ignore[arg-type]
         return
     if tag == CON:

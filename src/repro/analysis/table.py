@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..prolog.terms import Indicator, format_indicator
+from ..robust import widen_entry_to_top, worse_status
 from .patterns import Pattern, pattern_lub, share_pairs
 
 
@@ -106,24 +107,29 @@ class ExtensionTable:
         """``updateET``: lub a new success pattern in; True if it changed.
 
         ``extra_share`` carries may-share pairs the pattern itself cannot
-        express (sharing through summarized list elements).
+        express (sharing through summarized list elements).  A success
+        equal to the stored one (most updates) costs no lub, and its
+        share pairs are the stored pattern's, computed once.
         """
         if self.fault_plan is not None:
             self.fault_plan.fire("table")
         self.updates += 1
         entry = self.entry(indicator, calling)
-        new_share = entry.may_share | share_pairs(success) | extra_share
-        if entry.success is None:
+        stored = entry.success
+        if stored is None:
             merged = success
+        elif success == stored:
+            merged = success = stored
         else:
-            merged = pattern_lub(entry.success, success)
-        success_changed = merged != entry.success
+            merged = pattern_lub(stored, success)
+        new_share = entry.may_share | share_pairs(success) | extra_share
+        success_changed = merged != stored
         changed = success_changed or new_share != entry.may_share
         if changed:
             # A lub that strictly grew an existing summary is a widening
             # step of the fixpoint (table.widenings); first successes and
             # share-only growth are not.
-            if entry.success is not None and success_changed:
+            if stored is not None and success_changed:
                 self.widenings += 1
             entry.success = merged
             entry.may_share = new_share
@@ -143,8 +149,6 @@ class ExtensionTable:
         with anything, aliasing anything".  Bypasses the governor hooks —
         degrading must never itself trip a budget.
         """
-        from ..robust import widen_entry_to_top
-
         self.disarm()
         for indicator, entry in self.all_entries():
             widen_entry_to_top(indicator, entry, status)
@@ -157,8 +161,6 @@ class ExtensionTable:
         the diagnostics counters accumulate.  Soundness: the lub of two
         sound summaries over-approximates both.
         """
-        from ..robust import worse_status
-
         for indicator, entry in other.all_entries():
             mine = self.entry(indicator, entry.calling)
             if entry.success is not None:
@@ -229,8 +231,6 @@ class ExtensionTable:
     def worst_status(self, indicator: Indicator) -> str:
         """The most damaged status among ``indicator``'s entries
         (``"exact"`` when the predicate has no entries)."""
-        from ..robust import worse_status
-
         status = "exact"
         for entry in self.entries_for(indicator):
             status = worse_status(status, entry.status)

@@ -24,9 +24,10 @@ Three binary combinations matter:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Tuple
 
-from .sorts import AbsSort, sort_glb, sort_is_ground, sort_leq, sort_lub
+from .sorts import SIMPLE_SORTS, AbsSort, sort_glb, sort_is_ground, sort_leq, sort_lub
 
 Tree = tuple  # ('s', AbsSort) | ('l', Tree) | ('f', str, int, Tuple[Tree, ...])
 
@@ -55,17 +56,29 @@ def is_simple(tree: Tree) -> bool:
     return tree[0] == "s"
 
 
+#: The simple sorts that denote only ground terms (``empty`` vacuously).
+GROUND_SORTS = frozenset(sort for sort in SIMPLE_SORTS if sort_is_ground(sort))
+
+#: Distinct composite trees whose flags :func:`tree_is_ground` and
+#: :func:`tree_is_empty` remember; trees are immutable, so a flag is
+#: computed once per tree while it stays among the most recent ones.
+FLAG_CACHE_SIZE = 4096
+
+
 def tree_is_ground(tree: Tree) -> bool:
     """Does the tree denote only ground terms?  (Empty is vacuously ground,
     including composite trees that denote the empty set.)"""
-    if tree_is_empty(tree):
-        return True
-    kind = tree[0]
-    if kind == "s":
-        return sort_is_ground(tree[1])
-    if kind == "l":
+    if tree[0] == "s":
+        return tree[1] in GROUND_SORTS
+    return _composite_is_ground(tree)
+
+
+@lru_cache(maxsize=FLAG_CACHE_SIZE)
+def _composite_is_ground(tree: Tree) -> bool:
+    if tree[0] == "l":
         return tree_is_ground(tree[1])
-    return all(tree_is_ground(arg) for arg in tree[3])
+    args = tree[3]
+    return any(map(tree_is_empty, args)) or all(map(tree_is_ground, args))
 
 
 def tree_is_empty(tree: Tree) -> bool:
@@ -79,7 +92,12 @@ def tree_is_empty(tree: Tree) -> bool:
         return tree[1] == AbsSort.EMPTY
     if kind == "l":
         return False
-    return any(tree_is_empty(arg) for arg in tree[3])
+    return _struct_is_empty(tree)
+
+
+@lru_cache(maxsize=FLAG_CACHE_SIZE)
+def _struct_is_empty(tree: Tree) -> bool:
+    return any(map(tree_is_empty, tree[3]))
 
 
 def _list_elem_view(tree: Tree) -> Optional[Tree]:

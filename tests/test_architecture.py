@@ -73,3 +73,33 @@ def test_the_advisory_optimizer_package_is_gone():
     # repro.opt is the one optimizer package; its advisory twin is gone.
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(".optimize", package="repro")
+
+
+#: The modules an abstract call runs through: abstraction, lookup,
+#: updateET, abstract unification and builtins, and the type lattice.
+HOT_MODULES = (
+    "analysis/aheap.py",
+    "analysis/aunify.py",
+    "analysis/builtins.py",
+    "analysis/machine.py",
+    "analysis/patterns.py",
+    "analysis/table.py",
+    "domain/lattice.py",
+)
+
+
+def test_no_import_inside_a_function_on_the_abstract_call_path():
+    # A function-local import runs importlib's lookup on every call; in
+    # these modules that is every abstract call.
+    offenders = {}
+    for name in HOT_MODULES:
+        path = SOURCE / name
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk is breadth-first, so the innermost function names an
+        # import last.
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        offenders[_where(path, node.lineno)] = function.name
+    assert offenders == {}
