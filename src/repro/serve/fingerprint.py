@@ -19,9 +19,9 @@ Granularities, coarse to fine:
 * :func:`predicate_fingerprint` — a predicate's clauses *in order*
   (clause order is visible: it can matter to cut-carrying code);
 * :func:`program_fingerprint` — every predicate plus the directives;
-* :func:`config_fingerprint` — the analysis parameters that change
-  results (depth, list-awareness, subsumption, undefined-predicate
-  policy, environment trimming);
+* :func:`config_fingerprint` — the engine version and the analysis
+  parameters that change results (depth, list-awareness, subsumption,
+  undefined-predicate policy, environment trimming);
 * :func:`entry_fingerprint` — one entry calling pattern;
 * :func:`request_fingerprint` — a whole analyze request: config +
   entries + the fingerprints of the SCCs the entries can reach (see
@@ -49,6 +49,13 @@ from ..prolog.terms import (
 #: under the ``top``/``fail`` policies).  When code for it appears later,
 #: its fingerprint changes, dirtying every caller — exactly right.
 UNDEFINED_PREDICATE = "undefined"
+
+#: Version of the analysis engine whose answers a store holds.  Every
+#: stored result is keyed under it through :func:`config_fingerprint`,
+#: so a ``DiskStore`` written by an older engine answers a newer one
+#: with a cold miss, never with the older answer.  Bump it whenever the
+#: result goldens under ``tests/golden/`` are regenerated.
+ENGINE_VERSION = 1
 
 
 def _hash(parts: Iterable[str]) -> str:
@@ -150,10 +157,12 @@ def config_fingerprint(
     on_undefined: str = "error",
     environment_trimming: bool = True,
 ) -> str:
-    """Digest of every analyzer knob that can change analysis results."""
+    """Digest of the engine version and of every analyzer knob that can
+    change analysis results."""
     return _hash(
         [
             "config",
+            f"engine={ENGINE_VERSION}",
             f"depth={depth}",
             f"list_aware={list_aware}",
             f"subsumption={subsumption}",
@@ -197,6 +206,7 @@ def text_fingerprint(text: str) -> str:
 
 
 __all__ = [
+    "ENGINE_VERSION",
     "UNDEFINED_PREDICATE",
     "canonical_term",
     "clause_fingerprint",

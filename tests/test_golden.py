@@ -13,6 +13,11 @@ the diff; from the repository root::
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.regenerate()"
 
+Regenerating the result goldens also bumps
+``repro.serve.fingerprint.ENGINE_VERSION``, so a disk store that
+outlives this engine answers the new one with a cold miss, never with
+an answer the goldens no longer hold.
+
 ``tests/golden/metrics/`` holds, per case, the metrics snapshot of the
 same plain driver run: counters and gauges exactly, histograms reduced
 to their ``count``.  The driver and the analysis-core keys of a cold

@@ -14,6 +14,7 @@ import textwrap
 
 from repro.analysis.driver import parse_entry_spec
 from repro.prolog.program import Program
+from repro.serve import fingerprint
 from repro.serve.fingerprint import (
     clause_fingerprint,
     config_fingerprint,
@@ -23,6 +24,7 @@ from repro.serve.fingerprint import (
     program_fingerprint,
     request_fingerprint,
 )
+from repro.serve.service import AnalysisService, ServiceConfig
 
 NREV = """
 nrev([], []).
@@ -105,6 +107,31 @@ def test_config_fingerprint_distinguishes_knobs():
         ("environment_trimming", False),
     ):
         assert fp != config_fingerprint(**{**base, key: value}), key
+
+
+def test_config_fingerprint_covers_the_engine_version(monkeypatch):
+    before = config_fingerprint(depth=4)
+    monkeypatch.setattr(
+        fingerprint, "ENGINE_VERSION", fingerprint.ENGINE_VERSION + 1
+    )
+    assert config_fingerprint(depth=4) != before
+
+
+def test_a_disk_store_answers_only_its_own_engine_version(tmp_path, monkeypatch):
+    request = {"op": "analyze", "text": NREV, "entries": ["nrev(glist, var)"]}
+    version = fingerprint.ENGINE_VERSION
+
+    def outcome() -> str:
+        # A new process over the same store directory each time.
+        service = AnalysisService(ServiceConfig(store_dir=str(tmp_path)))
+        return service.handle(dict(request))["cache"]["outcome"]
+
+    assert outcome() == "miss"
+    assert outcome() == "hit"
+    monkeypatch.setattr(fingerprint, "ENGINE_VERSION", version + 1)
+    assert outcome() == "miss"
+    monkeypatch.setattr(fingerprint, "ENGINE_VERSION", version)
+    assert outcome() == "hit"
 
 
 def test_entry_fingerprint_covers_pattern():
