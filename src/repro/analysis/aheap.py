@@ -20,7 +20,7 @@ helpers here enforce that invariant.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..domain.lattice import (
     EMPTY_T,
@@ -30,7 +30,7 @@ from ..domain.lattice import (
 )
 from ..domain.sorts import AbsSort, sort_is_ground
 from ..errors import AnalysisError
-from ..prolog.terms import NIL, Atom, Float, Int
+from ..prolog.terms import NIL, Atom, Float, Indicator, Int
 from ..wam.cells import CON, FUN, LIS, REF, STR, Cell, Heap
 
 #: Tag of abstract cells.
@@ -64,6 +64,31 @@ def deref(heap: Heap, cell: Cell) -> Tuple[Cell, Optional[int]]:
         address = target_address  # type: ignore[assignment]
         cell = target
     return cell, address
+
+
+def slot_cell(heap: Heap, address: int) -> Cell:
+    """The cell stored at ``address``, by reference when it is an
+    abstract cell, so instantiating it is seen by every holder."""
+    cell = heap.cells[address]
+    if cell[0] == ABS:
+        return (REF, address)
+    return cell
+
+
+def functor_of(heap: Heap, cell: Cell) -> Indicator:
+    """The principal functor of a list cell or structure."""
+    if cell[0] == LIS:
+        return (".", 2)
+    assert cell[0] == STR
+    return heap.cells[cell[1]][1]  # type: ignore[index]
+
+
+def struct_args(heap: Heap, cell: Cell) -> List[Cell]:
+    """The argument cells of a list cell or structure (see
+    :func:`slot_cell`)."""
+    _, arity = functor_of(heap, cell)
+    base = cell[1] if cell[0] == LIS else cell[1] + 1  # type: ignore[operator]
+    return [slot_cell(heap, base + i) for i in range(arity)]
 
 
 def abs_tree(value: AbsVal) -> Tree:

@@ -31,7 +31,15 @@ from ..domain.sorts import AbsSort
 from ..errors import AnalysisError
 from ..prolog.terms import NIL, Indicator
 from ..wam.cells import CON, FUN, LIS, REF, STR, Cell, Heap
-from .aheap import ABS, abs_tree, constant_tree, make_abs, materialize
+from .aheap import (
+    ABS,
+    abs_tree,
+    constant_tree,
+    functor_of,
+    make_abs,
+    materialize,
+    struct_args,
+)
 from .patterns import collect_share_points
 
 
@@ -75,27 +83,6 @@ def complex_term_inst(
     functor_address = heap.push((FUN, functor))
     heap.cells.extend(components)
     return (STR, functor_address)
-
-
-def _functor_of(heap: Heap, cell: Cell) -> Indicator:
-    if cell[0] == LIS:
-        return (".", 2)
-    assert cell[0] == STR
-    return heap.cells[cell[1]][1]  # type: ignore[index]
-
-
-def _slot_cell(heap: Heap, address: int) -> Cell:
-    """The cell stored at ``address``, by reference when it is mutable."""
-    cell = heap.cells[address]
-    if cell[0] == ABS:
-        return (REF, address)
-    return cell
-
-
-def _struct_args(heap: Heap, cell: Cell) -> List[Cell]:
-    _, arity = _functor_of(heap, cell)
-    base = cell[1] if cell[0] == LIS else cell[1] + 1  # type: ignore[operator]
-    return [_slot_cell(heap, base + i) for i in range(arity)]
 
 
 def s_unify(heap: Heap, left: Cell, right: Cell) -> bool:
@@ -161,9 +148,9 @@ def s_unify(heap: Heap, left: Cell, right: Cell) -> bool:
                 return False
             continue
         if tag_a in (LIS, STR) and tag_b in (LIS, STR):
-            if _functor_of(heap, a) != _functor_of(heap, b):
+            if functor_of(heap, a) != functor_of(heap, b):
                 return False
-            stack.extend(zip(_struct_args(heap, a), _struct_args(heap, b)))
+            stack.extend(zip(struct_args(heap, a), struct_args(heap, b)))
             continue
         return False
     return True
@@ -225,14 +212,14 @@ def _unify_abs_concrete(
         # The result set is the singleton constant: instantiate precisely.
         heap.set_cell(abs_addr, other)
         return True
-    functor = _functor_of(heap, other)
+    functor = functor_of(heap, other)
     new_cell = complex_term_inst(heap, sort, elem, functor)
     if new_cell is None:
         return False
     heap.set_cell(abs_addr, new_cell)
     if _growth_can_share(sort, elem):
         register_growth_sharing(heap, abs_addr, new_cell)
-    stack.extend(zip(_struct_args(heap, new_cell), _struct_args(heap, other)))
+    stack.extend(zip(struct_args(heap, new_cell), struct_args(heap, other)))
     return True
 
 
@@ -257,7 +244,7 @@ def register_growth_sharing(heap: Heap, source_address: int, instance: Cell) -> 
     visible to :func:`repro.analysis.patterns.cell_share_pairs`.
     """
     points: set = set()
-    for slot in _struct_args(heap, instance):
+    for slot in struct_args(heap, instance):
         collect_share_points(heap, slot, points)
     for point in points:
         heap.share_union(point, source_address)

@@ -44,16 +44,15 @@ from ..domain.sorts import AbsSort
 from ..errors import AnalysisError
 from ..prolog.terms import NIL, Atom, Int
 from ..wam.cells import CON, FUN, LIS, REF, STR, Cell, Heap
-from .aheap import ABS, cell_summary, deref, make_abs
-
-
-def _slot(heap: Heap, address: int) -> Cell:
-    """Read a structure slot; abstract cells come back by reference so
-    instance identity (sharing) is preserved."""
-    cell = heap.cells[address]
-    if cell[0] == ABS:
-        return (REF, address)
-    return cell
+from .aheap import (
+    ABS,
+    cell_summary,
+    deref,
+    functor_of,
+    make_abs,
+    slot_cell,
+    struct_args,
+)
 
 Node = tuple
 
@@ -119,8 +118,8 @@ def _walk_spine(heap: Heap, cell: Cell):
             if address in seen:
                 return False, elements, None  # cyclic spine
             seen.add(address)  # type: ignore[arg-type]
-            elements.append(_slot(heap, address))  # type: ignore[arg-type]
-            current, _ = deref(heap, _slot(heap, address + 1))  # type: ignore[arg-type]
+            elements.append(slot_cell(heap, address))  # type: ignore[arg-type]
+            current, _ = deref(heap, slot_cell(heap, address + 1))  # type: ignore[arg-type]
             continue
         if current == (CON, NIL):
             return True, elements, None
@@ -172,10 +171,7 @@ def _survey_hidden_aliases(heap: Heap, cells) -> Set[int]:
     def walk(cell: Cell, inside: bool, path: FrozenSet[int]) -> None:
         cell, address = deref(heap, cell)
         if address is None:
-            tag = cell[0]
-            if tag == LIS:
-                _walk_compound(cell, inside, path)
-            elif tag == STR:
+            if cell[0] in (LIS, STR):
                 _walk_compound(cell, inside, path)
             return
         if address in path:
@@ -196,12 +192,8 @@ def _survey_hidden_aliases(heap: Heap, cells) -> Set[int]:
                 for element in elements:
                     walk(element, True, path)
                 return
-            walk(_slot(heap, cell[1]), inside, path)  # type: ignore[arg-type]
-            walk(_slot(heap, cell[1] + 1), inside, path)  # type: ignore[arg-type]
-            return
-        name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-        for offset in range(arity):
-            walk(_slot(heap, cell[1] + 1 + offset), inside, path)  # type: ignore[arg-type]
+        for child in struct_args(heap, cell):
+            walk(child, inside, path)
 
     for cell in cells:
         walk(cell, False, frozenset())
@@ -290,41 +282,30 @@ class _Abstractor:
             return self._leaf("i", cell_summary(heap, cell), address)
         if address is not None:
             self.path.add(address)
-        if tag == LIS:
-            proper, elements, tail_elem = (
-                _walk_spine(heap, cell)
-                if self.list_aware
-                else (False, [], None)
-            )
-            if proper:
-                elem = tail_elem if tail_elem is not None else EMPTY_T
-                for element in elements:
-                    elem = tree_lub(elem, self.tree(element, depth - 1))
-                node = self._leaf("li", elem, address)
-            else:
-                node = (
-                    "f",
-                    ".",
-                    2,
-                    (
-                        self.node(_slot(heap, cell[1]), depth - 1),  # type: ignore[arg-type]
-                        self.node(_slot(heap, cell[1] + 1), depth - 1),  # type: ignore[arg-type]
-                    ),
-                )
+        elem = self._spine_tree(cell, depth) if self.list_aware else None
+        if elem is not None:
+            node = self._leaf("li", elem, address)
         else:
-            assert tag == STR
-            name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-            node = (
-                "f",
-                name,
-                arity,
-                tuple(
-                    self.node(_slot(heap, cell[1] + 1 + i), depth - 1)  # type: ignore[arg-type]
-                    for i in range(arity)
-                ),
-            )
+            name, arity = functor_of(heap, cell)
+            children = struct_args(heap, cell)
+            node = ("f", name, arity, tuple(
+                self.node(child, depth - 1) for child in children
+            ))
         self.path.discard(address)  # type: ignore[arg-type]
         return node
+
+    def _spine_tree(self, cell: Cell, depth: int) -> Optional[Tree]:
+        """The element tree of a proper list (None for any other term):
+        the lub of its elements' trees and of a summarized tail's."""
+        if cell[0] != LIS:
+            return None
+        proper, elements, tail_elem = _walk_spine(self.heap, cell)
+        if not proper:
+            return None
+        elem = tail_elem if tail_elem is not None else EMPTY_T
+        for element in elements:
+            elem = tree_lub(elem, self.tree(element, depth - 1))
+        return elem
 
     def tree(self, cell: Cell, depth: int) -> Tree:
         """The type tree of a term (no instance ids): how list elements
@@ -349,35 +330,15 @@ class _Abstractor:
             return ("s", cell_summary(heap, cell))
         if address is not None:
             self.path.add(address)
-        if tag == LIS:
-            proper, elements, tail_elem = _walk_spine(heap, cell)
-            if proper:
-                tree = tail_elem if tail_elem is not None else EMPTY_T
-                for element in elements:
-                    tree = tree_lub(tree, self.tree(element, depth - 1))
-                tree = ("l", tree)
-            else:
-                tree = (
-                    "f",
-                    ".",
-                    2,
-                    (
-                        self.tree(_slot(heap, cell[1]), depth - 1),  # type: ignore[arg-type]
-                        self.tree(_slot(heap, cell[1] + 1), depth - 1),  # type: ignore[arg-type]
-                    ),
-                )
+        elem = self._spine_tree(cell, depth)
+        if elem is not None:
+            tree = ("l", elem)
         else:
-            assert tag == STR
-            name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-            tree = (
-                "f",
-                name,
-                arity,
-                tuple(
-                    self.tree(_slot(heap, cell[1] + 1 + i), depth - 1)  # type: ignore[arg-type]
-                    for i in range(arity)
-                ),
-            )
+            name, arity = functor_of(heap, cell)
+            children = struct_args(heap, cell)
+            tree = ("f", name, arity, tuple(
+                self.tree(child, depth - 1) for child in children
+            ))
         self.path.discard(address)  # type: ignore[arg-type]
         return tree
 
@@ -590,20 +551,21 @@ def share_pairs(pattern: Pattern) -> FrozenSet[Tuple[int, int]]:
     """Argument index pairs that share at least one abstract instance
     (computed once per pattern)."""
     if pattern._share_pairs is None:
-        pattern._share_pairs = _share_pairs(pattern)
+        by_id: Dict[int, Set[int]] = {}
+        for index, node in enumerate(pattern.args):
+            ids: List[int] = []
+            _collect_ids(node, ids)
+            for ident in ids:
+                by_id.setdefault(ident, set()).add(index)
+        pattern._share_pairs = _index_pairs(by_id.values())
     return pattern._share_pairs
 
 
-def _share_pairs(pattern: Pattern) -> FrozenSet[Tuple[int, int]]:
-    by_id: Dict[int, Set[int]] = {}
-    for index, node in enumerate(pattern.args):
-        ids: List[int] = []
-        _collect_ids(node, ids)
-        for ident in ids:
-            by_id.setdefault(ident, set()).add(index)
+def _index_pairs(groups) -> FrozenSet[Tuple[int, int]]:
+    """Every pair ``(i, j)``, ``i < j``, of indexes in one group."""
     pairs: Set[Tuple[int, int]] = set()
-    for positions in by_id.values():
-        ordered = sorted(positions)
+    for indexes in groups:
+        ordered = sorted(indexes)
         for i, left in enumerate(ordered):
             for right in ordered[i + 1 :]:
                 pairs.add((left, right))
@@ -668,14 +630,8 @@ def collect_share_points(heap: Heap, cell: Cell, into: Set[int]) -> None:
         return
     if address is not None and address in into:
         return  # already visited through another path
-    if tag == LIS:
-        collect_share_points(heap, _slot(heap, cell[1]), into)  # type: ignore[arg-type]
-        collect_share_points(heap, _slot(heap, cell[1] + 1), into)  # type: ignore[arg-type]
-        return
-    if tag == STR:
-        _, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-        for offset in range(arity):
-            collect_share_points(heap, _slot(heap, cell[1] + 1 + offset), into)  # type: ignore[arg-type]
+    for child in struct_args(heap, cell):
+        collect_share_points(heap, child, into)
 
 
 def cell_share_pairs(heap: Heap, cells) -> FrozenSet[Tuple[int, int]]:
@@ -695,10 +651,4 @@ def cell_share_pairs(heap: Heap, cells) -> FrozenSet[Tuple[int, int]]:
         collect_share_points(heap, cell, points)
         for point in points:
             reached.setdefault(heap.share_find(point), set()).add(index)
-    pairs: Set[Tuple[int, int]] = set()
-    for indexes in reached.values():
-        ordered = sorted(indexes)
-        for i, left in enumerate(ordered):
-            for right in ordered[i + 1 :]:
-                pairs.add((left, right))
-    return frozenset(pairs)
+    return _index_pairs(reached.values())

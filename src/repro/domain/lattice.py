@@ -27,7 +27,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .sorts import SIMPLE_SORTS, AbsSort, sort_glb, sort_is_ground, sort_leq, sort_lub
+from .sorts import (
+    SIMPLE_SORTS,
+    AbsSort,
+    sort_glb,
+    sort_is_ground,
+    sort_leq,
+    sort_lub,
+)
 
 Tree = tuple  # ('s', AbsSort) | ('l', Tree) | ('f', str, int, Tuple[Tree, ...])
 
@@ -50,10 +57,6 @@ def make_list_tree(elem: Tree) -> Tree:
 
 def make_struct_tree(name: str, args: Tuple[Tree, ...]) -> Tree:
     return ("f", name, len(args), tuple(args))
-
-
-def is_simple(tree: Tree) -> bool:
-    return tree[0] == "s"
 
 
 #: The simple sorts that denote only ground terms (``empty`` vacuously).

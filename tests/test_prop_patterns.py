@@ -5,11 +5,10 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.analysis.aheap import ABS, cell_summary, deref, make_abs
+from repro.analysis.aheap import ABS, cell_summary, deref, make_abs, slot_cell
 from repro.analysis.patterns import (
     Pattern,
     _constant_leaf_tree,
-    _slot,
     _survey_hidden_aliases,
     _walk_spine,
     abstract_cells,
@@ -263,12 +262,12 @@ def _reference_tree(heap, cell, depth, path, widen) -> tuple:
                 )
             return ("l", elem)
         return ("f", ".", 2, tuple(
-            _reference_tree(heap, _slot(heap, cell[1] + i), depth - 1, path, widen)
+            _reference_tree(heap, slot_cell(heap, cell[1] + i), depth - 1, path, widen)
             for i in range(2)
         ))
     name, arity = heap.cells[cell[1]][1]
     return ("f", name, arity, tuple(
-        _reference_tree(heap, _slot(heap, cell[1] + 1 + i), depth - 1, path, widen)
+        _reference_tree(heap, slot_cell(heap, cell[1] + 1 + i), depth - 1, path, widen)
         for i in range(arity)
     ))
 
@@ -330,12 +329,12 @@ class _ReferenceWalk:
                     ))
                 return ("li", elem, self.ident(address))
             return ("f", ".", 2, tuple(
-                self.node(_slot(heap, cell[1] + i), depth - 1, path)
+                self.node(slot_cell(heap, cell[1] + i), depth - 1, path)
                 for i in range(2)
             ))
         name, arity = heap.cells[cell[1]][1]
         return ("f", name, arity, tuple(
-            self.node(_slot(heap, cell[1] + 1 + i), depth - 1, path)
+            self.node(slot_cell(heap, cell[1] + 1 + i), depth - 1, path)
             for i in range(arity)
         ))
 
