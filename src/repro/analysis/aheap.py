@@ -86,9 +86,11 @@ def functor_of(heap: Heap, cell: Cell) -> Indicator:
 def struct_args(heap: Heap, cell: Cell) -> List[Cell]:
     """The argument cells of a list cell or structure (see
     :func:`slot_cell`)."""
-    _, arity = functor_of(heap, cell)
-    base = cell[1] if cell[0] == LIS else cell[1] + 1  # type: ignore[operator]
-    return [slot_cell(heap, base + i) for i in range(arity)]
+    address = cell[1]
+    if cell[0] == LIS:
+        return [slot_cell(heap, address), slot_cell(heap, address + 1)]  # type: ignore[operator]
+    arity = heap.cells[address][1][1]  # type: ignore[index]
+    return [slot_cell(heap, address + 1 + i) for i in range(arity)]  # type: ignore[operator]
 
 
 def abs_tree(value: AbsVal) -> Tree:
