@@ -32,6 +32,12 @@ no engine change was tuned on: ``repro.fuzz.grammar.generate_program``
 for seeds 0-39, each with its canonical result and the search counters
 in :data:`FUZZ_SLICE_METRICS`.  :func:`regenerate` rewrites it with the
 result goldens.
+
+``tests/golden/subsumption_slice.json`` pins the same cases and seeds
+analyzed with ``subsumption=True``, the mode where an entry's answer
+may come from a more general explored entry, so the order in which the
+search explores entries can move the result.  It holds one canonical
+result per case; :func:`regenerate` rewrites it too.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ CORE_PREFIXES = ("wam.", "analysis.", "table.")
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 FUZZ_SLICE = GOLDEN_DIR / "fuzz_slice.json"
 FUZZ_SLICE_SEEDS = range(40)
+SUBSUMPTION_SLICE = GOLDEN_DIR / "subsumption_slice.json"
 #: The counters a fuzz-slice golden keeps per program: together they pin
 #: how the search went, not only where it ended.
 FUZZ_SLICE_METRICS = (
@@ -123,9 +130,23 @@ def fuzz_slice_case(seed: int) -> dict:
     }
 
 
+def subsumption_cases() -> List[Tuple[str, str, List[str]]]:
+    """(key, program text, entry specs) for the subsumption slice: every
+    golden case, then the fuzz-slice programs as ``fuzz_<seed>``."""
+    cases = list(CASES)
+    for seed in FUZZ_SLICE_SEEDS:
+        program = generate_program(seed)
+        cases.append((f"fuzz_{seed}", program.source, program.entries))
+    return cases
+
+
+def subsumption_result(text: str, entries: List[str]) -> dict:
+    return Analyzer(text, subsumption=True).analyze(entries).stable_dict()
+
+
 def regenerate() -> None:
-    """Rewrite every result golden, the fuzz slice included, from the
-    plain driver."""
+    """Rewrite every result golden, the fuzz and subsumption slices
+    included, from the plain driver."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, text, entries in CASES:
         stable = Analyzer(text).analyze(entries).stable_dict()
@@ -134,6 +155,13 @@ def regenerate() -> None:
         )
     FUZZ_SLICE.write_text(
         canonical({str(seed): fuzz_slice_case(seed) for seed in FUZZ_SLICE_SEEDS}),
+        encoding="utf-8",
+    )
+    SUBSUMPTION_SLICE.write_text(
+        canonical({
+            key: subsumption_result(text, entries)
+            for key, text, entries in subsumption_cases()
+        }),
         encoding="utf-8",
     )
 
@@ -190,4 +218,28 @@ def test_fuzz_slice_covers_its_seeds(fuzz_slice_golden):
 def test_fuzz_slice(seed, fuzz_slice_golden):
     assert canonical(fuzz_slice_case(seed)) == canonical(
         fuzz_slice_golden[str(seed)]
+    )
+
+
+SUBSUMPTION_CASES = subsumption_cases()
+
+
+@pytest.fixture(scope="module")
+def subsumption_golden() -> dict:
+    return json.loads(SUBSUMPTION_SLICE.read_text(encoding="utf-8"))
+
+
+def test_subsumption_slice_covers_its_cases(subsumption_golden):
+    assert sorted(subsumption_golden) == sorted(
+        key for key, _, _ in SUBSUMPTION_CASES
+    )
+
+
+@pytest.mark.parametrize(
+    "key,text,entries", SUBSUMPTION_CASES,
+    ids=[case[0] for case in SUBSUMPTION_CASES],
+)
+def test_subsumption_slice(key, text, entries, subsumption_golden):
+    assert canonical(subsumption_result(text, entries)) == canonical(
+        subsumption_golden[key]
     )
