@@ -3,8 +3,12 @@
 The extension-table scheme needs iterative deepening (paper Section 2.2):
 one pass explores every calling pattern once, recording lubbed success
 patterns; recursive calls see the previous iteration's summaries.  The
-driver re-runs the entry goals until a whole pass leaves the table
-unchanged — the least fixpoint of the dataflow analysis.
+paper re-runs the entry goal until a whole pass leaves the table
+unchanged.  This driver iterates by dependency instead: the first sweep
+is the paper's first pass, and each later sweep re-runs only the entries
+that read a summary which has changed since (dirty entries), callees
+first, until no explored entry is dirty — the same least fixpoint
+without the closing pass that changes nothing.
 
 Entry calling patterns are written in a small Prolog-ish spec language::
 
@@ -159,10 +163,10 @@ STATE_DUMP_MAX_ENTRIES = 200
 class _StateDumper:
     """Emits capped ``table_state`` events for the time-travel viewer.
 
-    One event per fixpoint pass (``--trace-states N`` bounds the total),
+    One event per fixpoint sweep (``--trace-states N`` bounds the total),
     each carrying a :meth:`ExtensionTable.state_dump` snapshot with the
     *frontier* marked — the entries whose ``updates`` count moved since
-    the previous dump, i.e. what this pass actually touched.  Only ever
+    the previous dump, i.e. what this sweep actually touched.  Only ever
     constructed when a tracer is present and ``trace_states > 0``.
     """
 
@@ -201,12 +205,16 @@ class EntryReport:
     status: str = STATUS_EXACT
     iterations: int = 0
     reason: Optional[str] = None
-    #: Entries planted before the first pass, from a resumed checkpoint
-    #: and from seeds, and entries the restriction to the final pass
-    #: dropped (see :meth:`Analyzer.analyze`).  Not part of ``to_dict``.
+    #: Entries planted before the first sweep, from a resumed checkpoint
+    #: and from seeds, and the planted entries no sweep reached, which
+    #: the result drops (see :meth:`Analyzer.analyze`).  Not part of
+    #: ``to_dict``.
     resumed: int = 0
     seeded: int = 0
     dropped: int = 0
+    #: Whether the final sweep changed no entry, only confirming the
+    #: fixpoint the sweeps before it reached.  Not part of ``to_dict``.
+    confirmed: bool = False
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -253,11 +261,11 @@ def record_metrics(
         # Splits from the per-address counts: an address belongs to the
         # predicate whose code region holds it.  The shared service
         # proceed belongs to none, so its runs are charged to the frames
-        # that ran it; the entry is called once per pass.
+        # that ran it; a sweep's top-level runs are calls too.
         code = machine.code
         by_op: Dict[str, int] = {}
         by_pred: Dict[Indicator, int] = dict(machine.service_proceeds)
-        calls: Dict[Indicator, int] = {report.spec.indicator: machine.iteration}
+        calls: Dict[Indicator, int] = dict(machine.top_runs)
         owner = None
         for address, count in enumerate(machine.address_counts):
             owner = code.owners.get(address, owner)
@@ -374,11 +382,12 @@ class Analyzer:
     ) -> AnalysisResult:
         """Run the fixpoint analysis from the given entry patterns.
 
-        Each entry spec is re-run until a whole pass leaves its table
-        unchanged.  ``checkpoint`` is an optional
+        Each entry spec is swept until no entry its sweeps explored is
+        dirty (:meth:`AbstractMachine.sweep`); the sweep count is the
+        spec's ``iterations``.  ``checkpoint`` is an optional
         :class:`~repro.robust.checkpoint.CheckpointPolicy`: it is
-        notified after every fixpoint pass (snapshotting on its cadence)
-        and flushed with the pre-widening table when a spec degrades, so
+        notified after every sweep (snapshotting on its cadence) and
+        flushed with the pre-widening table when a spec degrades, so
         the partial work survives the ⊤-widening that follows.
 
         ``resume`` is an optional checkpoint snapshot dict (already
@@ -386,16 +395,17 @@ class Analyzer:
         *caller* owns matching it against this program/config/entries),
         and ``seeds`` are known summaries (the service's cached results
         for unchanged call-graph components).  Both are planted into
-        every spec's table as ordinary initial contents — resume first,
-        so cache data wins ties — and the passes re-explore them like
-        any other entry.  A planted summary below the fixpoint is
-        raised to it, so resuming an intermediate iterate converges to
-        exactly the from-scratch result in fewer passes.  A planted
-        summary *above* the fixpoint survives, sound but coarser: exact
-        answers rest on the validity of what is planted, not on this
-        loop.  When anything was planted, the spec's table is finally
-        restricted to the entries its last pass explored, so summaries
-        the program no longer reaches never appear in the result.
+        every spec's table as initial contents — resume first, so cache
+        data wins ties — and start dirty, so each planted entry runs
+        once when a sweep first reaches it.  A planted summary below the
+        fixpoint is raised to it and its readers re-run, so resuming an
+        intermediate iterate converges to exactly the from-scratch
+        result in fewer sweeps.  A planted summary *above* the fixpoint
+        survives, sound but coarser: exact answers rest on the validity
+        of what is planted, not on this loop.  The result keeps every
+        entry some sweep explored and drops the planted entries no
+        sweep reached, so summaries the program no longer reaches never
+        appear in it.
         """
         specs = [parse_entry_spec(entry) for entry in entries]
         if not specs:
@@ -442,7 +452,8 @@ class Analyzer:
                 tracer.begin("entry_spec", spec=str(spec), **span_attrs)
             try:
                 try:
-                    while True:
+                    pending = 1  # the first sweep runs the entry itself
+                    while pending:
                         if plan is not None and plan.watches("iteration"):
                             plan.fire("iteration")
                         budget.charge_iteration()
@@ -451,9 +462,11 @@ class Analyzer:
                             tracer.event(
                                 "fixpoint_iteration",
                                 pass_number=report.iterations,
+                                rerun=pending,
                             )
                         before = spec_table.changes
-                        machine.run_pattern(spec.indicator, spec.pattern)
+                        machine.sweep(spec.indicator, spec.pattern)
+                        report.confirmed = spec_table.changes == before
                         if dumper is not None:
                             dumper.dump(
                                 tracer, spec_table,
@@ -462,8 +475,7 @@ class Analyzer:
                             )
                         if checkpoint is not None:
                             checkpoint.note_pass((table, spec_table))
-                        if spec_table.changes == before:
-                            break
+                        pending = machine.pending()
                 except (BudgetExceeded, InjectedFault) as exc:
                     report.status = STATUS_DEGRADED
                     report.reason = str(exc)
@@ -485,23 +497,19 @@ class Analyzer:
                         raise
                 if tracer is not None:
                     tracer.end(status=report.status)
+                if planted:
+                    report.dropped = spec_table.drop_unexplored()
                 if report.status != STATUS_EXACT:
                     # Sound degradation: whatever partial summaries the
                     # interrupted exploration left may under-approximate,
                     # so widen everything this spec touched to ⊤ —
                     # including the entry's own pattern, materialized if
-                    # need be.  Planted entries the run never reached are
-                    # dropped first: widening them would claim facts
-                    # nothing asked.
+                    # need be.  (Planted entries the run never reached
+                    # are gone: widening them would claim facts nothing
+                    # asked.)
                     spec_table.disarm()
-                    if planted:
-                        spec_table.drop_unexplored(since=1)
                     spec_table.entry(spec.indicator, spec.pattern)
                     spec_table.widen_to_top(report.status)
-                elif planted:
-                    report.dropped = spec_table.drop_unexplored(
-                        since=machine.iteration
-                    )
             finally:
                 if metrics is not None:
                     record_metrics(

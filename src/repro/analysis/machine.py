@@ -20,8 +20,11 @@ abstract domain:
   points would better be incorporated into call and proceed");
 * cut is a sound no-op: all clauses are explored.
 
-The machine mutates one shared :class:`~repro.analysis.table.ExtensionTable`;
-the fixpoint driver re-runs entry goals until the table stops changing.
+The machine mutates one shared :class:`~repro.analysis.table.ExtensionTable`
+and records, at every ``lookupET``, which entry read which summary.  The
+fixpoint driver sweeps until no explored entry is dirty: the first sweep
+runs the entry goal, each later one re-runs only the entries whose
+inputs changed (:meth:`AbstractMachine.sweep`).
 """
 
 from __future__ import annotations
@@ -123,6 +126,9 @@ class AbstractMachine(Machine):
         self.unify_calls = 0
         self.frames_peak = 0
         self.service_proceeds: Dict[Indicator, int] = {}
+        #: Per predicate, how often a sweep ran one of its entries at
+        #: the top level (calls no call instruction counts).
+        self.top_runs: Dict[Indicator, int] = {}
         #: Resource governance (repro.robust): the budget charges one
         #: "step" per dispatched instruction (plus deadline probes), the
         #: fault plan fires "step"/"unify" sites.  The per-instruction
@@ -164,6 +170,9 @@ class AbstractMachine(Machine):
         self.on_undefined = on_undefined
         self.iteration = 0
         self.frames: List[ExplorationFrame] = []
+        #: Every entry whose frame has closed, in the order of its last
+        #: close (callees before their callers), with its predicate.
+        self.closed: Dict[TableEntry, Indicator] = {}
         self.abstract_builtins = ABSTRACT_BUILTINS
 
     # ------------------------------------------------------------------
@@ -176,11 +185,39 @@ class AbstractMachine(Machine):
         return s_unify(self.heap, left, right)
 
     # ------------------------------------------------------------------
-    # Analysis passes.
+    # Fixpoint sweeps.
+
+    def sweep(self, indicator: Indicator, calling: Pattern) -> None:
+        """Run one fixpoint sweep for an entry calling pattern.
+
+        The first sweep runs the entry itself and explores everything it
+        reaches.  Each later sweep re-runs, each from its own calling
+        pattern, only the explored entries still dirty, in the order
+        their frames last closed (callees first); a call to a clean
+        entry explored in an earlier sweep is answered from the table.
+        An entry this sweep has already re-run as someone's callee waits
+        for the next sweep.
+        """
+        if not self.iteration:
+            self.run_pattern(indicator, calling)
+            return
+        self.iteration += 1
+        for entry, owner in list(self.closed.items()):
+            if entry.dirty and entry.explored_iteration < self.iteration:
+                self._run(owner, entry.calling)
+
+    def pending(self) -> int:
+        """How many explored entries are dirty: what the next sweep
+        re-runs.  The fixpoint is reached when none is."""
+        return sum(entry.dirty for entry in self.closed)
 
     def run_pattern(self, indicator: Indicator, calling: Pattern) -> None:
-        """Execute one top-level pass for an entry calling pattern."""
+        """Run a new sweep from one entry calling pattern."""
         self.iteration += 1
+        self._run(indicator, calling)
+
+    def _run(self, indicator: Indicator, calling: Pattern) -> None:
+        self.top_runs[indicator] = self.top_runs.get(indicator, 0) + 1
         self.frames.clear()
         self.e = None
         self.pc = HALT_ADDRESS
@@ -197,7 +234,7 @@ class AbstractMachine(Machine):
                     return
             self._run_to_event()
         finally:
-            # Passes share the table, not the heap: reclaim everything.
+            # Runs share the table, not the heap: reclaim everything.
             self.heap.undo_to(trail_mark, heap_mark)
 
     # ------------------------------------------------------------------
@@ -222,12 +259,10 @@ class AbstractMachine(Machine):
                 f"call {format_indicator(indicator)}{calling}"
             )
         existing = self.table.find(indicator, calling)
-        if (
-            existing is not None
-            and existing.explored_iteration == self.iteration
-        ):
-            # Already explored (or in progress) in this iteration: return
-            # the recorded summary, or fail if none is known yet.
+        if existing is not None and self._settled(existing):
+            # Explored (or in progress) in this sweep, or clean since an
+            # earlier one: return the recorded summary, or fail if none
+            # is known yet.
             if self.tracer is not None:
                 summary = existing.success if existing.success else "no success yet"
                 self.tracer.event(f"  table hit -> {summary}")
@@ -243,6 +278,7 @@ class AbstractMachine(Machine):
                 return self._apply_success(subsumer, args, ret)
         entry = self.table.entry(indicator, calling)
         entry.explored_iteration = self.iteration
+        entry.dirty = False
         clause_addresses = self.compiled.clause_entries(indicator)
         if not clause_addresses:
             if self.compiled.code.entry.get(indicator) is None:
@@ -280,11 +316,18 @@ class AbstractMachine(Machine):
             self.frames_peak = len(self.frames)
         self._enter_clause(frame)
 
+    def _settled(self, entry: TableEntry) -> bool:
+        """Whether a call may take ``entry``'s summary from the table:
+        it was explored in this sweep (or is in progress), or explored
+        in an earlier one and is clean."""
+        explored = entry.explored_iteration
+        return explored == self.iteration or (explored > 0 and not entry.dirty)
+
     def _find_subsumer(self, indicator: Indicator, calling: Pattern):
-        """An explored entry whose calling pattern covers ``calling``."""
+        """A settled entry whose calling pattern covers ``calling``."""
         best = None
         for entry in self.table.entries_for(indicator):
-            if entry.explored_iteration != self.iteration:
+            if not self._settled(entry):
                 continue
             if entry.calling == calling:
                 continue
@@ -305,7 +348,11 @@ class AbstractMachine(Machine):
         self, entry: TableEntry, args: Tuple[Cell, ...], ret: int
     ):
         """``lookupET``: unify the summarized success pattern back into the
-        caller's arguments; fail when no success is recorded."""
+        caller's arguments; fail when no success is recorded.  The
+        innermost open frame's entry (none at the top level) becomes a
+        reader of ``entry``."""
+        if self.frames:
+            entry.readers.add(self.frames[-1].entry)
         if entry.success is None:
             return "fail"
         success_cells = materialize_pattern(self.heap, entry.success)
@@ -373,6 +420,8 @@ class AbstractMachine(Machine):
                 return True
             # Clauses exhausted: lookupET and return deterministically.
             self.frames.pop()
+            self.closed.pop(frame.entry, None)
+            self.closed[frame.entry] = frame.indicator
             self.heap.undo_to(frame.trail_mark, frame.heap_mark_pre)
             if self.tracer is not None:
                 summary = (

@@ -325,18 +325,19 @@ class AnalysisResult:
 
     def stable_dict(self) -> dict:
         """:meth:`to_dict` minus everything that varies between two runs
-        that proved the same dataflow facts: timing, pass and instruction
-        counts, and the raw calling-pattern list.  The last one is
-        exploration *history*, not a fact — an unseeded run keeps
-        transient patterns recorded before the fixpoint converged (e.g. a
-        call seen only while a callee's success was still ⊥-ish), while
-        a run from seeds or a resumed checkpoint restricts its table to
-        what its final pass reached.  The per-argument lattice
-        aggregates (modes, call and success types, aliasing,
-        can_succeed) coincide either way, by monotonicity: every
-        transient pattern and its recorded success are ⊑ some surviving
-        final entry, so they never move a lub.  This is the form the
-        serve cache stores and compares."""
+        that proved the same dataflow facts: timing, sweep and
+        instruction counts, and the raw calling-pattern list.  The last
+        one is exploration *history*, not a fact — a run keeps every
+        pattern some sweep explored, transient ones recorded before the
+        fixpoint converged included (e.g. a call seen only while a
+        callee's success was still ⊥-ish), while a run from seeds or a
+        resumed checkpoint starts from the planted values, so it meets
+        fewer of them, and drops the planted ones it never reached.  The
+        per-argument lattice aggregates (modes, call and success types,
+        aliasing, can_succeed) coincide either way, by monotonicity:
+        every transient pattern and its recorded success are ⊑ some
+        surviving final entry, so they never move a lub.  This is the
+        form the serve cache stores and compares."""
         data = self.to_dict()
         del data["seconds"]
         del data["iterations"]

@@ -1,14 +1,18 @@
 """The extension table (paper Sections 2.2 and 5).
 
 A memo structure mapping (predicate, calling pattern) to the lubbed success
-pattern found so far, with per-iteration *explored* marks.  Multiple calling
+pattern found so far, with per-sweep *explored* marks.  Multiple calling
 patterns are kept per predicate; the success patterns of one calling
 pattern are summarized by least upper bound, so every invocation returns
 deterministically (at most one success pattern), exactly as the paper
 prescribes.
 
-The ``changes`` counter increases whenever an update actually changes the
-table; the fixpoint driver iterates until one whole pass leaves it
+Each entry also records its *readers*: the entries whose runs read its
+summary.  An update that changes an entry marks those readers *dirty*,
+and the fixpoint driver sweeps until no explored entry is dirty (see
+:mod:`repro.analysis.driver`).  The ``changes`` counter increases
+whenever an update actually changes the table; the baselines, which
+keep the paper's whole passes, iterate until one pass leaves it
 untouched.
 
 Resource governance (see :mod:`repro.robust`): a table may carry a
@@ -21,24 +25,29 @@ has been widened to ⊤ because its exploration was interrupted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..prolog.terms import Indicator, format_indicator
 from ..robust import widen_entry_to_top, worse_status
 from .patterns import Pattern, pattern_lub, share_pairs
 
 
-@dataclass
+@dataclass(eq=False)
 class TableEntry:
-    """State of one calling pattern."""
+    """State of one calling pattern (hashed by identity)."""
 
     calling: Pattern
     success: Optional[Pattern] = None
     #: argument-position pairs that may share on success (union over all
     #: summarized success patterns).
     may_share: FrozenSet[Tuple[int, int]] = frozenset()
-    #: iteration in which this pattern was last explored (0 = never).
+    #: sweep in which this pattern was last explored (0 = never).
     explored_iteration: int = 0
+    #: True when the entry must run again: a summary its last run read
+    #: has changed since, or it was planted and has not run yet.
+    dirty: bool = False
+    #: Entries whose runs read this summary since it last changed.
+    readers: Set["TableEntry"] = field(default_factory=set)
     #: how many times updateET changed this entry (diagnostics).
     updates: int = 0
     #: "exact" normally; "degraded" once widened to ⊤ after an
@@ -109,7 +118,8 @@ class ExtensionTable:
         ``extra_share`` carries may-share pairs the pattern itself cannot
         express (sharing through summarized list elements).  A success
         equal to the stored one (most updates) costs no lub, and its
-        share pairs are the stored pattern's, computed once.
+        share pairs are the stored pattern's, computed once.  A change
+        marks every reader of the entry dirty.
         """
         if self.fault_plan is not None:
             self.fault_plan.fire("table")
@@ -135,6 +145,9 @@ class ExtensionTable:
             entry.may_share = new_share
             entry.updates += 1
             self.changes += 1
+            for reader in entry.readers:
+                reader.dirty = True
+            entry.readers.clear()
         return changed
 
     # ------------------------------------------------------------------
@@ -179,7 +192,7 @@ class ExtensionTable:
 
     # ------------------------------------------------------------------
     # Planting known summaries (cache seeds, resumed checkpoints) and
-    # dropping what the final pass no longer reaches.
+    # dropping the planted ones no sweep reached.
 
     def seed(
         self,
@@ -188,7 +201,8 @@ class ExtensionTable:
         success: Optional[Pattern],
         may_share: FrozenSet[Tuple[int, int]] = frozenset(),
     ) -> TableEntry:
-        """Install a known summary as an ordinary, not yet explored entry.
+        """Install a known summary as an ordinary, not yet explored,
+        dirty entry: the first call that reaches it runs it once.
 
         Seeding bypasses the governor hooks: reusing a cached result
         must never trip a budget.  The ``changes`` counter still
@@ -205,22 +219,19 @@ class ExtensionTable:
         entry.success = success
         entry.may_share = may_share
         entry.status = "exact"
+        entry.dirty = True
         return entry
 
-    def drop_unexplored(self, since: int) -> int:
-        """Drop every entry last explored before pass ``since``; returns
-        how many were dropped.
-
-        A pass explores each entry it reaches exactly once, so after a
-        run's final pass this keeps exactly that pass's reach: planted
-        summaries the program no longer reaches (and transient patterns
-        of earlier passes) go.  ``since=1`` drops only the planted
-        entries no pass ever reached."""
+    def drop_unexplored(self) -> int:
+        """Drop every entry no sweep explored; returns how many were
+        dropped.  Every other entry is created by an exploration, so
+        this drops exactly the planted summaries the program no longer
+        reaches."""
         dropped = 0
         for indicator in list(self._entries):
             by_pattern = self._entries[indicator]
             for calling in list(by_pattern):
-                if by_pattern[calling].explored_iteration < since:
+                if not by_pattern[calling].explored_iteration:
                     del by_pattern[calling]
                     dropped += 1
             if not by_pattern:

@@ -4,15 +4,16 @@ The service analyzes with the one fixpoint loop there is,
 :meth:`repro.analysis.driver.Analyzer.analyze`: summaries cached for
 *clean* call-graph components (Merkle fingerprint unchanged, see
 :mod:`repro.serve.callgraph`) are passed as its ``seeds``, planted as
-ordinary initial table contents after any resumed checkpoint, and the
-entry is re-run until a pass leaves the table unchanged.  The table is
-then restricted to what that final pass explored, so seeds the edited
-program no longer reaches never reach a result.
+initial table contents after any resumed checkpoint.  Planted entries
+start dirty, so each runs once when a sweep first reaches it, and the
+sweeps go on until no explored entry is dirty.  The result then drops
+the planted entries no sweep reached, so seeds the edited program no
+longer reaches never reach a result.
 
-:class:`ScheduleStats` reports the run per request.  Each spec's passes
-fall into three roles: its first pass *discovers* the calling patterns
-that arise, its final unchanged pass *verifies* the fixpoint, and the
-passes between *stabilize* it.
+:class:`ScheduleStats` reports the run per request.  Each spec's sweeps
+fall into three roles: its first sweep *discovers* the calling patterns
+that arise, a later final sweep that changed no entry *verifies* the
+fixpoint, and the other sweeps *stabilize* it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class ScheduleStats:
 
     sccs_total: int = 0
     seeds_planted: int = 0
-    #: Entries the restriction to the final pass dropped.
+    #: Planted entries no sweep reached, which the result drops.
     seeds_dropped: int = 0
     discovery_passes: int = 0
     stabilization_passes: int = 0
@@ -81,7 +82,9 @@ class SCCScheduler:
             stats.resume_planted += report.resumed
             discovery = min(report.iterations, 1)
             verification = int(
-                report.status == STATUS_EXACT and report.iterations > 1
+                report.status == STATUS_EXACT
+                and report.iterations > 1
+                and report.confirmed
             )
             stats.discovery_passes += discovery
             stats.verification_passes += verification

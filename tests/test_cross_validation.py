@@ -30,9 +30,13 @@ def test_meta_matches_abstract_wam(bench):
 
 @pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
 def test_same_iteration_count(bench):
+    # The meta baseline keeps the paper's whole passes; the compiled
+    # analyzer's sweeps re-run only dirty entries and skip the closing
+    # pass that changes nothing, so they never take more.  The metric
+    # goldens pin the exact sweep counts.
     fast = Analyzer(bench.source).analyze([bench.entry])
     meta = MetaAnalyzer(bench.source).analyze([bench.entry])
-    assert fast.iterations == meta.iterations
+    assert fast.iterations <= meta.iterations
 
 
 def test_indexing_does_not_change_analysis():

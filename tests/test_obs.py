@@ -180,29 +180,30 @@ class TestAnalysisMetrics:
         return result, registry.snapshot()
 
     def test_single_fact_hand_counted(self):
-        # p(a). with entry p(var): pass 1 explores (lookup misses, the
-        # entry is created, the success pattern lands), pass 2 re-runs
-        # and finds the table unchanged (lookup hits).  Each pass costs
-        # get_constant + proceed + the query stub's halt = 3.
+        # p(a). with entry p(var): the one sweep explores (the lookup
+        # misses, the entry is created, the success pattern lands).  No
+        # entry read p/1's summary before it changed, so nothing is
+        # dirty and no second sweep runs.  The sweep costs get_constant
+        # + proceed + the query stub's halt = 3.
         result, snapshot = self.analyze("p(a).", "p(var)")
-        assert _value(snapshot, "analysis.iterations") == 2
-        assert result.iterations == 2
-        assert _value(snapshot, "wam.instructions") == 6
+        assert _value(snapshot, "analysis.iterations") == 1
+        assert result.iterations == 1
+        assert _value(snapshot, "wam.instructions") == 3
         assert _value(snapshot, "wam.instructions") == \
             result.instructions_executed
-        assert _value(snapshot, "wam.instructions.op{op=get_constant}") == 2
-        assert _value(snapshot, "wam.instructions.op{op=proceed}") == 2
-        assert _value(snapshot, "wam.instructions.op{op=halt}") == 2
-        assert _value(snapshot, "wam.instructions.class{class=get}") == 2
-        assert _value(snapshot, "wam.instructions.class{class=control}") == 4
-        assert _value(snapshot, "analysis.predicate.calls{pred=p/1}") == 2
-        # halt runs after p/1's frame closes, so only 4 of 6 attribute.
+        assert _value(snapshot, "wam.instructions.op{op=get_constant}") == 1
+        assert _value(snapshot, "wam.instructions.op{op=proceed}") == 1
+        assert _value(snapshot, "wam.instructions.op{op=halt}") == 1
+        assert _value(snapshot, "wam.instructions.class{class=get}") == 1
+        assert _value(snapshot, "wam.instructions.class{class=control}") == 2
+        assert _value(snapshot, "analysis.predicate.calls{pred=p/1}") == 1
+        # halt runs after p/1's frame closes, so only 2 of 3 attribute.
         assert _value(
             snapshot, "analysis.predicate.instructions{pred=p/1}"
-        ) == 4
-        assert _value(snapshot, "table.lookups") == 2
+        ) == 2
+        assert _value(snapshot, "table.lookups") == 1
         assert _value(snapshot, "table.misses") == 1
-        assert _value(snapshot, "table.hits") == 1
+        assert _value(snapshot, "table.hits") == 0
         assert _value(snapshot, "table.entries.created") == 1
         assert _value(snapshot, "analysis.specs{status=exact}") == 1
         assert snapshot["analysis.entry.seconds"]["count"] == 1
