@@ -611,8 +611,8 @@ def resume_benchmark(benchmark, kill_every: int = 1, max_attempts: int = 40):
     cursor.  Before each retry a side-effect-free completion probe
     measures how many passes the chain still has to (re-)execute from
     that snapshot.  When the probe stops shrinking, the remaining work
-    fits no kill interval this short — the final, confirming pass
-    always dies with it — so the interval doubles for the next attempt,
+    fits no kill interval this short — the final sweep always dies
+    with it — so the interval doubles for the next attempt,
     as a deployment would have to slow its crash cadence for the
     analysis to ever finish.  Returns ``(report, result)``: ``result``
     is the completed analysis (None if ``max_attempts`` ran out), and

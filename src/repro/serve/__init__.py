@@ -19,8 +19,8 @@ the operations / failure-modes contract.
 Two invariants hold across every module here.  **Soundness**: a served
 response equals what a from-scratch ``analyze()`` of the current text
 would produce — caching and crash recovery may change latency, never
-answers (degraded results are never stored, seeds are re-explored and
-restricted to what the final pass reaches, and cache entries are
+answers (degraded results are never stored, each seed a sweep reaches
+runs once and the unreached ones are dropped, and cache entries are
 fingerprint-keyed and checksummed).  **Observation is inert**: the
 :mod:`repro.obs` metrics and traces threaded through the service
 (``metrics`` op, ``stats``, worker delta shipping) only record; they

@@ -11,8 +11,9 @@ and degradation status.  The serving invariant:
     answers faster, never different, because everything it holds is
     keyed by fingerprints covering everything the analysis depends on
     (and checksummed on disk): a full-result hit is the stored answer,
-    and a partially-seeded run re-explores its seeds and drops the ones
-    the program no longer reaches (see :mod:`repro.serve.scheduler`).
+    and a partially-seeded run runs each seed it reaches once and drops
+    the ones the program no longer reaches (see
+    :mod:`repro.serve.scheduler`).
     The fixpoint loop itself raises a seed that sits *below* the
     fixpoint, but a seed *above* it would survive — sound but coarser —
     so exact answers rest on those keys and checksums.
@@ -340,8 +341,8 @@ class AnalysisService:
         Returns ``(response, live_result, prepared)``; ``live_result``
         is the in-process :class:`AnalysisResult` when the fixpoint
         actually ran (or when ``need_live`` forces a run on a
-        full-result hit — fully seeded, so it converges in one
-        confirming pass), else None; ``prepared`` is the
+        full-result hit — fully seeded, so one sweep confirms it),
+        else None; ``prepared`` is the
         :class:`Prepared` program that was analyzed.
         """
         text = self._load_text(request)
@@ -521,7 +522,7 @@ class AnalysisService:
 
         The rule engine needs a live :class:`AnalysisResult`, so a
         full-result cache hit still runs the fixpoint, fully seeded:
-        one confirming pass."""
+        one confirming sweep."""
         from ..lint import assemble_report
 
         analysis, result, prepared = self._analyze_core(
