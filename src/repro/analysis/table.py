@@ -47,7 +47,7 @@ class TableEntry:
     #: has changed since, or it was planted and has not run yet.
     dirty: bool = False
     #: Entries whose runs read this summary since it last changed.
-    readers: Set["TableEntry"] = field(default_factory=set)
+    readers: Set[TableEntry] = field(default_factory=set)
     #: how many times updateET changed this entry (diagnostics).
     updates: int = 0
     #: "exact" normally; "degraded" once widened to ⊤ after an
