@@ -260,9 +260,7 @@ class AbstractMachine(Machine):
             )
         existing = self.table.find(indicator, calling)
         if existing is not None and self._settled(existing):
-            # Explored (or in progress) in this sweep, or clean since an
-            # earlier one: return the recorded summary, or fail if none
-            # is known yet.
+            # Return the recorded summary, or fail if none is known yet.
             if self.tracer is not None:
                 summary = existing.success if existing.success else "no success yet"
                 self.tracer.event(f"  table hit -> {summary}")
