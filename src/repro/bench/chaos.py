@@ -32,8 +32,8 @@ Any violation aborts with a non-zero exit — a chaos campaign that lies
 about correctness measures nothing.
 
 The emitted document tracks the cost of isolation alongside the
-survival counts: p50/p95 per-request latency through the worker pool
-versus the same request sequence handled in-process.
+survival counts: p50/p95 per-request latency through the supervised
+worker versus the same request sequence handled in-process.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ def _flip_one_entry_file(store_dir: str) -> bool:
 
 def run(
     requests: int = 200,
-    workers: int = 2,
     kill_every: int = 17,
     corrupt_every: int = 29,
     store_dir: Optional[str] = None,
@@ -141,7 +140,6 @@ def run(
     supervisor = Supervisor(
         ServiceConfig(store_dir=store_dir, journal=True),
         SupervisorConfig(
-            workers=workers,
             request_timeout=request_timeout,
             grace=0.5,
             max_retries=2,
@@ -244,7 +242,7 @@ def run(
     # ---- warm restart on the abused store --------------------------
     restart = Supervisor(
         ServiceConfig(store_dir=store_dir, journal=True),
-        SupervisorConfig(workers=1, request_timeout=request_timeout),
+        SupervisorConfig(request_timeout=request_timeout),
     )
     warm_hits = 0
     try:
@@ -301,7 +299,6 @@ def run(
     return {
         "suite": "repro.bench.chaos",
         "requests": requests,
-        "workers": workers,
         "programs": [benchmark.name for benchmark in selected],
         "requests_served": served,
         "exact_responses": exact,
@@ -330,7 +327,6 @@ _GATEWAY_STRUCTURED = (
 async def _run_gateway_campaign(
     requests: int,
     shards: int,
-    workers: int,
     kill_index: int,
     delay_index: int,
 ) -> dict:
@@ -359,7 +355,7 @@ async def _run_gateway_campaign(
     gateway = Gateway(
         GatewayConfig(
             shards=shards,
-            workers=workers,
+            workers=1,
             queue_depth=32,
             max_line_bytes=64 * 1024,
         ),
@@ -410,7 +406,7 @@ async def _run_gateway_campaign(
             _classify(index, benchmark, response)
 
         # ---- shard crash: the backend dies out from under shard 0 ---
-        # (the supervisor's pool is closed, so its next handle() raises:
+        # (the supervisor is closed, so its next handle() raises:
         # the deterministic stand-in for a shard process dying).  The
         # shard must answer the in-flight request with a structured
         # shard-failure, respawn with backoff, warm up from the hot
@@ -508,7 +504,6 @@ async def _run_gateway_campaign(
     return {
         "requests": requests,
         "shards": shards,
-        "workers_per_shard": workers,
         "exact_responses": exact,
         "structured_errors": structured,
         "kills_injected": 1,
@@ -530,7 +525,6 @@ async def _run_gateway_campaign(
 def run_gateway(
     requests: int = 36,
     shards: int = 2,
-    workers: int = 1,
     kill_index: int = 3,
     delay_index: int = 4,
 ) -> dict:
@@ -545,7 +539,6 @@ def run_gateway(
     return asyncio.run(_run_gateway_campaign(
         requests=requests,
         shards=shards,
-        workers=workers,
         kill_index=kill_index,
         delay_index=delay_index,
     ))
@@ -759,7 +752,7 @@ def _run_resume_wire(violations: List[str]) -> dict:
         supervisor = Supervisor(
             ServiceConfig(store_dir=tmp, journal=True, checkpoint_every=1),
             SupervisorConfig(
-                workers=1, request_timeout=60.0, grace=0.5,
+                request_timeout=60.0, grace=0.5,
                 max_retries=2, backoff_base=0.02,
             ),
         )
@@ -828,7 +821,7 @@ def _run_crash_loop(violations: List[str]) -> dict:
         supervisor = Supervisor(
             ServiceConfig(store_dir=tmp, journal=True, checkpoint_every=1),
             SupervisorConfig(
-                workers=1, request_timeout=30.0, grace=0.5,
+                request_timeout=30.0, grace=0.5,
                 max_retries=0, backoff_base=0.02,
             ),
         )
@@ -971,9 +964,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="requests in the main campaign (default 200)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2, help="pool size (default 2)"
-    )
-    parser.add_argument(
         "--kill-every", type=int, default=17,
         help="SIGKILL the worker at every Nth request (default 17)",
     )
@@ -1002,7 +992,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     arguments = parser.parse_args(argv)
     document = run(
         requests=arguments.requests,
-        workers=arguments.workers,
         kill_every=arguments.kill_every,
         corrupt_every=arguments.corrupt_every,
         request_timeout=arguments.request_timeout,

@@ -472,8 +472,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--shards", type=int, default=2, help="gateway shards (default 2)"
     )
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="workers per shard (default 0 = in-process backends)",
+        "--workers", type=int, default=0, choices=(0, 1),
+        help="1: a supervised worker per shard; 0: in-process "
+        "backends, the default",
     )
     parser.add_argument(
         "--queue-depth", type=int, default=16,

@@ -33,8 +33,8 @@ viewer (see docs/tracing.md).
 
 ``repro-serve`` — the analysis service: JSON-lines requests on stdin
 (or ``--batch file.pl ...`` for a one-shot run), content-addressed
-result caching and incremental re-analysis; ``--workers N`` executes
-requests in supervised, crash-isolated worker subprocesses with
+result caching and incremental re-analysis; ``--workers 1`` executes
+requests in a supervised, crash-isolated worker subprocess with
 ``--request-timeout`` / ``--max-retries`` policy, and ``--journal``
 arms the self-healing on-disk store (see docs/serve.md).
 
@@ -194,27 +194,27 @@ def _build_analyzer(arguments: argparse.Namespace, program: Program) -> Analyzer
     )
 
 
-def _cli_checkpoint_config(arguments: argparse.Namespace) -> str:
-    """The identity fingerprint under which CLI snapshots are written:
-    every knob that changes what the fixpoint computes."""
-    return (
-        f"cli:depth={arguments.depth}"
-        f":trimming={not arguments.no_trimming}"
-        f":subsumption={arguments.subsumption}"
-        f":on_undefined={arguments.on_undefined}"
-    )
-
-
-def _checkpoint_setup(arguments: argparse.Namespace, analyzer: Analyzer):
+def _checkpoint_setup(
+    arguments: argparse.Namespace, analyzer: Analyzer, program: Program
+):
     """Build the (policy, resume snapshot) pair for --checkpoint /
-    --resume; (None, None) when neither flag is given."""
+    --resume; (None, None) when neither flag is given.  A snapshot is
+    tied to the config fingerprint (engine version and analyzer knobs)
+    and, as its key, to the program fingerprint."""
     if arguments.checkpoint is None and arguments.resume is None:
         return None, None
     import os
 
     from .robust import checkpoint as ckpt
+    from .serve.fingerprint import config_fingerprint, program_fingerprint
 
-    config_fp = _cli_checkpoint_config(arguments)
+    config_fp = config_fingerprint(
+        depth=arguments.depth,
+        subsumption=arguments.subsumption,
+        on_undefined=arguments.on_undefined,
+        environment_trimming=not arguments.no_trimming,
+    )
+    key = program_fingerprint(program)
     entries = sorted(str(entry) for entry in arguments.entries)
     resume_data = None
     if arguments.resume is not None:
@@ -229,11 +229,12 @@ def _checkpoint_setup(arguments: argparse.Namespace, analyzer: Analyzer):
             )
             candidate = None
         if candidate is not None:
-            resume_data = ckpt.load(candidate, config=config_fp)
+            resume_data = ckpt.load(candidate, config=config_fp, key=key)
             if resume_data is None:
                 print(
                     "warning: --resume snapshot is damaged or was taken "
-                    "under different analysis settings; ignoring it",
+                    "under different analysis settings or for a "
+                    "different program; ignoring it",
                     file=sys.stderr,
                 )
             elif resume_data.get("entries") != entries:
@@ -258,6 +259,7 @@ def _checkpoint_setup(arguments: argparse.Namespace, analyzer: Analyzer):
             every=max(1, arguments.checkpoint_every),
             budget=analyzer.budget,
             config=config_fp,
+            key=key,
             entries=entries,
             base_iterations=ckpt.cursor_iterations(resume_data),
             attempts=(
@@ -326,13 +328,15 @@ def _analyze_command(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--resume", default=None, metavar="PATH",
         help="seed the fixpoint from a snapshot written by --checkpoint "
-        "(validated: a snapshot from different analysis settings or "
-        "entries is ignored with a warning)",
+        "(validated: a snapshot from different analysis settings, "
+        "program or entries is ignored with a warning)",
     )
     arguments = parser.parse_args(argv)
     program = _load_program(arguments.file, arguments.library)
     analyzer = _build_analyzer(arguments, program)
-    checkpoint_policy, resume_data = _checkpoint_setup(arguments, analyzer)
+    checkpoint_policy, resume_data = _checkpoint_setup(
+        arguments, analyzer, program
+    )
     tracer = None
     if arguments.trace_out is not None:
         from .obs import Tracer
@@ -675,20 +679,20 @@ def _serve_command(argv: Optional[Sequence[str]] = None) -> int:
         "writes are repaired on startup, corrupt entries quarantined",
     )
     parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="run each request in one of N supervised worker "
-        "subprocesses (crash isolation; 0 = in-process, the default)",
+        "--workers", type=int, default=0, choices=(0, 1),
+        help="1: run each request in a supervised worker subprocess "
+        "(crash isolation); 0: in-process, the default",
     )
     parser.add_argument(
         "--request-timeout", type=float, default=None, metavar="SECONDS",
         help="per-request wall-clock cap; a worker still busy past it "
         "(+ grace) is SIGKILLed and the request answered with a "
-        "structured error (needs --workers)",
+        "structured error (needs --workers 1)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
         help="crash retries per request before a structured retriable "
-        "error is returned (default 2; needs --workers)",
+        "error is returned (default 2; needs --workers 1)",
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=16, metavar="N",
@@ -709,7 +713,7 @@ def _serve_command(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="write a JSON-lines span trace to PATH ('-' for stderr); "
-        "with --workers or --listen this is a *stitched* cross-process "
+        "with --workers 1 or --listen this is a *stitched* cross-process "
         "trace — inspect it with repro-trace (see docs/tracing.md)",
     )
     parser.add_argument(
@@ -726,7 +730,7 @@ def _serve_command(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--shards", type=int, default=2, metavar="N",
-        help="gateway shards, each with its own workers and store "
+        help="gateway shards, each with its own worker and store "
         "partition (default 2; needs --listen)",
     )
     parser.add_argument(
@@ -770,13 +774,12 @@ def _serve_command(argv: Optional[Sequence[str]] = None) -> int:
         # keeps the plain single-process trace.
         tracer = Tracer(
             arguments.trace_out,
-            process="supervisor-0" if arguments.workers > 0 else None,
+            process="supervisor-0" if arguments.workers else None,
         )
-    if arguments.workers > 0:
+    if arguments.workers:
         from .serve import Supervisor, SupervisorConfig
 
         service = Supervisor(service_config, SupervisorConfig(
-            workers=arguments.workers,
             request_timeout=arguments.request_timeout,
             max_retries=arguments.max_retries,
         ), tracer=tracer)

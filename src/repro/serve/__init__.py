@@ -6,9 +6,9 @@ predicate call graph with Merkle SCC fingerprints
 (:mod:`~repro.serve.callgraph`), fixpoint runs seeded from the cached
 summaries of unchanged components (:mod:`~repro.serve.scheduler`), a
 self-healing capped result store (:mod:`~repro.serve.store`), the
-request loop itself (:mod:`~repro.serve.service`), crash isolation — a
-supervised worker-subprocess pool (:mod:`~repro.serve.pool`) fronted
-by retry and kill policy (:mod:`~repro.serve.supervisor`) — and
+request loop itself (:mod:`~repro.serve.service`), crash isolation — one
+supervised worker subprocess (:mod:`~repro.serve.pool`) behind retry
+and kill policy (:mod:`~repro.serve.supervisor`) — and
 horizontal scale: a network-facing asyncio gateway
 (:mod:`~repro.serve.gateway`) routing by consistent-hashed program
 fingerprint across bounded-queue shards (:mod:`~repro.serve.shard`)
@@ -39,7 +39,7 @@ from .fingerprint import (
     request_fingerprint,
 )
 from .gateway import ConsistentHashRing, Gateway, GatewayConfig, route_key
-from .pool import Worker, WorkerCrashed, WorkerPool, WorkerTimeout
+from .pool import Worker, WorkerCrashed, WorkerTimeout
 from .scheduler import SCCScheduler, ScheduleStats
 from .shard import Shard, ShardSaturated, shed_response
 from .service import (
@@ -76,7 +76,6 @@ __all__ = [
     "SupervisorConfig",
     "Worker",
     "WorkerCrashed",
-    "WorkerPool",
     "WorkerTimeout",
     "call_edges",
     "clause_fingerprint",

@@ -4,7 +4,7 @@
 asyncio TCP server speaking the same JSON-lines request protocol as the
 stdin loop, fronting ``N`` :class:`~repro.serve.shard.Shard` backends.
 Each shard owns its own :class:`~repro.serve.supervisor.Supervisor`
-(worker pool + journaled store partition) or in-process service, and
+(one worker + journaled store partition) or in-process service, and
 every request is routed to exactly one shard by **consistent hashing of
 its program fingerprint** — the same program always lands on the same
 shard, so per-shard tables and stores stay warm and partitioned instead
@@ -37,7 +37,10 @@ order**, not submission order (requests pipeline across shards) — use
 ``"id"`` for correlation.  ``stats`` / ``metrics`` / ``invalidate``
 fan out to every shard and aggregate; ``shutdown`` drains the whole
 gateway.  Oversized request lines are drained in bounded chunks and
-answered with a structured error, counted in the metrics registry.
+answered with a structured error, counted in the metrics registry.  A
+connection's requests lose their ``_chaos`` and ``resume`` fields: fault
+injection and checkpoint planting are for the process's own callers,
+never for a network client.
 """
 
 from __future__ import annotations
@@ -173,7 +176,8 @@ class GatewayConfig:
     #: :meth:`Gateway.start`).
     port: int = 0
     shards: int = 2
-    #: Worker subprocesses per shard (0 = in-process backend).
+    #: 1: each shard runs requests in one supervised worker subprocess;
+    #: 0: in the gateway process.
     workers: int = 1
     #: Hard per-shard admission cap (queue depth beyond which requests
     #: are shed with ``reason: "queue-full"``).
@@ -187,6 +191,13 @@ class GatewayConfig:
     #: Per-request timeout forwarded to each shard's supervisor.
     request_timeout: Optional[float] = None
     max_retries: int = 2
+
+    def __post_init__(self):
+        if self.workers not in (0, 1):
+            raise ValueError(
+                f"workers must be 0 (in-process) or 1 (supervised), "
+                f"not {self.workers!r}"
+            )
 
 
 class Gateway:
@@ -278,8 +289,8 @@ class Gateway:
     # Shard construction.
 
     def _default_backend(self, shard_id: int):
-        """One backend per shard: a Supervisor with its own worker pool
-        and store partition, or an in-process service when workers=0."""
+        """One backend per shard: a Supervisor with its own worker and
+        store partition, or an in-process service when workers=0."""
         service_config = self.service_config
         if service_config.store_dir:
             # Partition the store by shard: consistent hashing sends a
@@ -302,13 +313,12 @@ class Gateway:
                 process=f"supervisor-{shard_id}g{generation}",
                 trace_id=self._trace_id,
             )
-        if self.config.workers > 0:
+        if self.config.workers:
             from .supervisor import Supervisor, SupervisorConfig
 
             return Supervisor(
                 service_config,
                 SupervisorConfig(
-                    workers=self.config.workers,
                     request_timeout=self.config.request_timeout,
                     max_retries=self.config.max_retries,
                 ),
@@ -456,6 +466,8 @@ class Gateway:
                         "ok": False, "error": "request must be an object",
                     })
                     continue
+                request.pop("_chaos", None)
+                request.pop("resume", None)
                 if request.get("op") == "shutdown":
                     await self._write(writer, write_lock, {
                         "ok": True, "shutdown": True, "op": "shutdown",

@@ -1,32 +1,31 @@
 """Crash-isolated worker subprocesses: spawn, talk, time out, kill.
 
-This module is the *mechanics* layer of the supervised pool — process
+This module is the *mechanics* layer of the supervisor — process
 lifecycle and the JSON-lines pipe protocol; the *policy* layer (retry,
 backoff, error classification, chaos injection) lives in
 :mod:`repro.serve.supervisor`.
 
 A :class:`Worker` wraps one ``python -m repro.serve.worker`` subprocess:
-the service config goes down the pipe first, then one request line per
-:meth:`Worker.request` call, which blocks for the matching response
-line up to a wall-clock timeout.  A background reader thread owns the
-subprocess's stdout, so a timeout costs nothing but a queue wait and
-the caller can SIGKILL the worker at any moment without deadlocking on
-a half-written pipe.
+the service config goes down the pipe first and the constructor blocks
+until the worker's ready line comes back, so interpreter start-up is
+paid by the spawn and never by a request's kill timer.  Then one
+request line per :meth:`Worker.request` call, which blocks for the
+matching response line up to a wall-clock timeout.  A background reader
+thread owns the subprocess's stdout, so a timeout costs nothing but a
+queue wait and the caller can SIGKILL the worker at any moment without
+deadlocking on a half-written pipe.
 
-A :class:`WorkerPool` keeps ``size`` slots, hands out live workers
-round-robin, respawns crashed slots lazily with per-slot exponential
-backoff (a slot that keeps dying waits longer and longer before it
-burns another fork), and reaps everything on :meth:`WorkerPool.close`.
 :func:`respawn_backoff` is the serve stack's one restart policy: the
-pool sleeps through it before respawning a slot, and
+supervisor sleeps through it before spawning a worker, and
 :class:`~repro.serve.shard.Shard` before rebuilding its backend.
 
 Failure surface, as exceptions (both :class:`~repro.errors.ReproError`
 subclasses so CLI guards already catch them):
 
 * :class:`WorkerCrashed` — the subprocess died (signal, OOM kill,
-  interpreter abort) before responding.  Retriable: the request never
-  completed, analysis is a pure function, running it again is safe.
+  interpreter abort) before responding, or never wrote its ready line.
+  Retriable: the request never completed, analysis is a pure function,
+  running it again is safe.
 * :class:`WorkerTimeout` — no response within the limit.  The caller
   must assume the worker is wedged and kill it; retrying the same
   request would wedge the replacement too.
@@ -41,13 +40,20 @@ import subprocess
 import sys
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..errors import ReproError
 
 
 #: Longest respawn backoff in seconds, whatever the strike count.
 BACKOFF_CAP = 1.0
+
+#: Seconds a new worker may take to start, import the analyzer and
+#: build its service before the spawn counts as failed.
+SPAWN_TIMEOUT = 30.0
+
+#: The line a worker writes once its service is built.
+READY_LINE = '{"ready": true}'
 
 
 def respawn_backoff(strikes: int, base: float = 0.05) -> None:
@@ -60,7 +66,8 @@ def respawn_backoff(strikes: int, base: float = 0.05) -> None:
 
 
 class WorkerCrashed(ReproError):
-    """The worker subprocess died before answering (retriable)."""
+    """The worker subprocess died before answering or never got ready
+    (retriable)."""
 
 
 class WorkerTimeout(ReproError):
@@ -85,10 +92,13 @@ def _worker_environment() -> dict:
 
 
 class Worker:
-    """One supervised subprocess speaking the JSON-lines protocol."""
+    """One supervised subprocess speaking the JSON-lines protocol.
 
-    def __init__(self, config_wire: dict, slot: int = 0):
-        self.slot = slot
+    The constructor returns once the worker is ready to serve; a worker
+    that exits, garbles or stays silent for :data:`SPAWN_TIMEOUT`
+    instead is killed and raises :class:`WorkerCrashed`."""
+
+    def __init__(self, config_wire: dict):
         self.requests_handled = 0
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro.serve.worker"],
@@ -106,6 +116,14 @@ class Worker:
         self._reader.start()
         try:
             self._send_line(json.dumps(config_wire, sort_keys=True))
+            try:
+                ready = self._lines.get(timeout=SPAWN_TIMEOUT) or ""
+            except queue.Empty:
+                ready = ""
+            if ready.strip() != READY_LINE:
+                raise WorkerCrashed(
+                    f"worker did not start: {ready.strip() or 'no ready line'}"
+                )
         except WorkerCrashed:
             self.kill()
             raise
@@ -126,7 +144,7 @@ class Worker:
             self.process.stdin.flush()
         except (OSError, ValueError) as error:
             raise WorkerCrashed(
-                f"worker {self.slot} pipe closed: {error}"
+                f"worker pipe closed: {error}"
             ) from error
 
     @property
@@ -169,23 +187,23 @@ class Worker:
                 line = self._lines.get(timeout=remaining)
             except queue.Empty:
                 raise WorkerTimeout(
-                    f"worker {self.slot} gave no response within {timeout}s"
+                    f"worker gave no response within {timeout}s"
                 ) from None
             if line is None:
                 status = self.process.poll()
                 raise WorkerCrashed(
-                    f"worker {self.slot} died (exit status {status}) "
+                    f"worker died (exit status {status}) "
                     "before responding"
                 )
             try:
                 response = json.loads(line)
             except ValueError as error:
                 raise WorkerCrashed(
-                    f"worker {self.slot} wrote a garbled response: {error}"
+                    f"worker wrote a garbled response: {error}"
                 ) from error
             if not isinstance(response, dict):
                 raise WorkerCrashed(
-                    f"worker {self.slot} wrote a non-object response"
+                    "worker wrote a non-object response"
                 )
             if "_interim" in response:
                 if on_interim is not None:
@@ -215,113 +233,9 @@ class Worker:
                 pass
 
 
-class WorkerPool:
-    """``size`` worker slots with lazy spawn and per-slot backoff."""
-
-    def __init__(
-        self,
-        config_wire: dict,
-        size: int = 2,
-        backoff_base: float = 0.05,
-    ):
-        if size < 1:
-            raise ValueError("pool size must be >= 1")
-        self.config_wire = config_wire
-        self.size = size
-        self.backoff_base = backoff_base
-        self._workers: List[Optional[Worker]] = [None] * size
-        #: Consecutive crashes per slot; reset on any success.
-        self._strikes = [0] * size
-        self._next_slot = 0
-        self.spawned = 0
-        self.crashes = 0
-        self.kills = 0
-        self.closed = False
-
-    # ------------------------------------------------------------------
-
-    def _spawn(self, slot: int) -> Worker:
-        respawn_backoff(self._strikes[slot], self.backoff_base)
-        try:
-            worker = Worker(self.config_wire, slot=slot)
-        except (OSError, WorkerCrashed):
-            # A worker that fails to start (fork refused, pipe broken
-            # before the config line) strikes its slot like a crash.
-            self.report_crash(slot)
-            raise
-        self._workers[slot] = worker
-        self.spawned += 1
-        return worker
-
-    def checkout(self) -> Tuple[int, Worker]:
-        """The next slot's live worker (round-robin), spawning or
-        respawning as needed.  A failed spawn raises ``OSError`` or
-        :class:`WorkerCrashed` after striking the slot."""
-        if self.closed:
-            raise ReproError("worker pool is closed")
-        slot = self._next_slot
-        self._next_slot = (slot + 1) % self.size
-        worker = self._workers[slot]
-        if worker is None or not worker.alive:
-            if worker is not None:
-                worker.kill()  # reap the corpse
-            worker = self._spawn(slot)
-        return slot, worker
-
-    def workers(self) -> List[Tuple[int, Worker]]:
-        """Every currently-spawned live worker (for broadcasts)."""
-        return [
-            (slot, worker)
-            for slot, worker in enumerate(self._workers)
-            if worker is not None and worker.alive
-        ]
-
-    # ------------------------------------------------------------------
-    # Outcome reporting (drives the backoff).
-
-    def report_crash(self, slot: int) -> None:
-        self.crashes += 1
-        self._strikes[slot] += 1
-        worker = self._workers[slot]
-        if worker is not None:
-            worker.kill()
-            self._workers[slot] = None
-
-    def report_kill(self, slot: int) -> None:
-        """The supervisor killed this worker deliberately (timeout);
-        no backoff strike — the *request* was bad, not the slot."""
-        self.kills += 1
-        worker = self._workers[slot]
-        if worker is not None:
-            worker.kill()
-            self._workers[slot] = None
-
-    def report_success(self, slot: int) -> None:
-        self._strikes[slot] = 0
-
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        self.closed = True
-        for worker in self._workers:
-            if worker is not None:
-                worker.kill()
-        self._workers = [None] * self.size
-
-    def stats(self) -> dict:
-        return {
-            "size": self.size,
-            "alive": len(self.workers()),
-            "spawned": self.spawned,
-            "crashes": self.crashes,
-            "kills": self.kills,
-        }
-
-
 __all__ = [
     "Worker",
     "WorkerCrashed",
-    "WorkerPool",
     "WorkerTimeout",
     "respawn_backoff",
 ]

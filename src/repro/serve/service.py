@@ -172,9 +172,14 @@ class AnalysisService:
     # ------------------------------------------------------------------
     # Request handling.
 
-    def handle(self, request: dict) -> dict:
+    def handle(self, request: dict, resume: Optional[dict] = None) -> dict:
         """Process one request dict; never raises for request-level
-        failures — errors come back as ``{"ok": false, ...}``."""
+        failures — errors come back as ``{"ok": false, ...}``.
+
+        ``resume`` is a checkpoint snapshot from a trusted caller: the
+        worker loop passes the one its supervisor retained.  A
+        ``"resume"`` field in the request itself is ignored, so a client
+        cannot plant a table."""
         started = time.perf_counter()
         op = request.get("op", "analyze")
         # Trace context (docs/tracing.md): stripped like _chaos, and —
@@ -191,7 +196,7 @@ class AnalysisService:
                 op=op,
             )
         try:
-            response = self._dispatch(request)
+            response = self._dispatch(request, resume)
         except ReproError as error:
             response = {"ok": False, "error": str(error)}
         except (OSError, ValueError, KeyError, TypeError) as error:
@@ -212,12 +217,14 @@ class AnalysisService:
             metrics.counter("serve.errors").inc()
         return response
 
-    def _dispatch(self, request: dict) -> dict:
+    def _dispatch(self, request: dict, resume: Optional[dict]) -> dict:
         op = request.get("op", "analyze")
         if op == "analyze":
-            return self._analyze(request)
+            return self._analyze_core(
+                request, need_live=False, attached=resume
+            )[0]
         if op == "lint":
-            return self._lint(request)
+            return self._lint(request, resume)
         if op == "stats":
             return {"ok": True, "stats": self.stats()}
         if op == "metrics":
@@ -331,12 +338,11 @@ class AnalysisService:
 
     # ------------------------------------------------------------------
 
-    def _analyze(self, request: dict) -> dict:
-        response, _, _ = self._analyze_core(request, need_live=False)
-        return response
-
-    def _analyze_core(self, request: dict, need_live: bool):
-        """The shared analyze path.
+    def _analyze_core(
+        self, request: dict, need_live: bool, attached: Optional[dict]
+    ):
+        """The shared analyze path; ``attached`` is the trusted resume
+        snapshot :meth:`handle` was given.
 
         Returns ``(response, live_result, prepared)``; ``live_result``
         is the in-process :class:`AnalysisResult` when the fixpoint
@@ -390,19 +396,17 @@ class AnalysisService:
             for item in stored["entries"]:
                 seeds.append(entry_from_json(item))
         # ---- resume from the best valid checkpoint --------------------
-        # Two sources, the furthest cursor wins: one attached to the
-        # request (the supervisor replays the best snapshot a crashed
-        # worker shipped up the wire) and one in the durable store
-        # (survives every worker in the pool dying).  Both sources are
-        # best-effort: an invalid snapshot is ignored and counted,
-        # never an error.
+        # Two sources, the furthest cursor wins: the attached one (the
+        # supervisor replays the best snapshot a crashed worker shipped
+        # up the wire) and one in the durable store (survives the
+        # worker dying).  Both sources are best-effort: an invalid
+        # snapshot is ignored and counted, never an error.
         from ..robust import checkpoint as ckpt
 
         checkpoint_key = f"{self.store.CHECKPOINT_PREFIX}{request_fp}"
         resume = None
         for candidate in (
-            request.get("resume"),
-            self.store.get_checkpoint(checkpoint_key),
+            attached, self.store.get_checkpoint(checkpoint_key)
         ):
             if candidate is None:
                 continue
@@ -515,7 +519,7 @@ class AnalysisService:
 
     # ------------------------------------------------------------------
 
-    def _lint(self, request: dict) -> dict:
+    def _lint(self, request: dict, resume: Optional[dict]) -> dict:
         """Lint = the (cached) analysis plus
         :func:`~repro.lint.assemble_report` (analysis status, bytecode
         verifier, source rules), which is cheap and runs fresh every time.
@@ -526,7 +530,7 @@ class AnalysisService:
         from ..lint import assemble_report
 
         analysis, result, prepared = self._analyze_core(
-            request, need_live=True
+            request, need_live=True, attached=resume
         )
         if not analysis.get("ok") or result is None:
             return analysis

@@ -2,8 +2,8 @@
 
 A :class:`Shard` is the unit of horizontal partitioning behind
 :class:`~repro.serve.gateway.Gateway`.  It owns exactly one *backend* —
-a :class:`~repro.serve.supervisor.Supervisor` with its own worker pool
-and journaled store, or an in-process
+a :class:`~repro.serve.supervisor.Supervisor` with its own worker and
+journaled store, or an in-process
 :class:`~repro.serve.service.AnalysisService` — and a single dispatch
 thread that feeds the backend from a **bounded** queue.  The asyncio
 event loop never talks to the backend directly: it enqueues
@@ -20,12 +20,12 @@ Robustness contract:
   while it sat in the queue is answered with a shed response without
   ever running — late work is refused, not amplified.
 * **Self-healing backend.**  A backend that *raises* out of ``handle``
-  (a closed pool, an interpreter-level fault — request-level failures
-  come back as ``{"ok": false}`` and don't count) marks the shard
-  unhealthy; the dispatch thread rebuilds the backend before the next
-  request after :func:`~repro.serve.pool.respawn_backoff` (the same
-  restart policy :class:`~repro.serve.pool.WorkerPool` uses, driven by
-  the shard's own strike count), replays the gateway's hot requests
+  (a closed supervisor, an interpreter-level fault — request-level
+  failures come back as ``{"ok": false}`` and don't count) marks the
+  shard unhealthy; the dispatch thread rebuilds the backend before the
+  next request after :func:`~repro.serve.pool.respawn_backoff` (the
+  same restart policy the supervisor spawns its worker under, driven
+  by the shard's own strike count), replays the gateway's hot requests
   through the fresh backend so hot fingerprints are served warm again,
   and keeps going.  Strikes reset on the next healthy response.
 * **Graceful drain.**  :meth:`Shard.close` with ``drain=True`` lets

@@ -3,7 +3,10 @@
 :class:`Supervisor` is a drop-in ``handle(request) -> response`` front
 for :class:`~repro.serve.service.AnalysisService` (same protocol, same
 ``serve_loop``/``run_batch`` compatibility) that executes every request
-in a worker subprocess from a :class:`~repro.serve.pool.WorkerPool`:
+in its one worker subprocess, a :class:`~repro.serve.pool.Worker`.  The
+analysis is a deterministic function of the request, so crash isolation
+needs one process and a retry, not a fleet; every caller sends one
+request at a time, and one worker keeps one warm in-memory cache.
 
 * **Hard wall-clock kill.**  Each request gets a deadline — the tighter
   of the request/server budget ``deadline`` and ``request_timeout`` —
@@ -16,12 +19,14 @@ in a worker subprocess from a :class:`~repro.serve.pool.WorkerPool`:
 
 * **Bounded retry with backoff.**  A worker that *dies* (segfault, OOM
   kill, injected SIGKILL) before responding, or fails to start at all
-  (a refused fork), is retriable: analysis is a pure function of the
-  request, so the supervisor respawns and retries up to
-  ``max_retries`` times — the pool sleeps through
-  :func:`~repro.serve.pool.respawn_backoff` before each respawn — then
-  answers with a structured *retriable* error.  Either way the next
-  request finds a fresh worker — a crash never takes the service down.
+  (a refused fork, no ready line), is retriable: analysis is a pure
+  function of the request, so the supervisor respawns and retries up
+  to ``max_retries`` times, then answers with a structured *retriable*
+  error.  The worker is spawned lazily, after
+  :func:`~repro.serve.pool.respawn_backoff` for the count of
+  consecutive failures: a crash or a failed spawn adds one, a timeout
+  kill does not, and a success resets it.  Either way the next request
+  finds a fresh worker — a crash never takes the service down.
 
 * **Resume-on-retry.**  Workers ship interim
   ``{"_interim": "checkpoint", ...}`` lines while a fixpoint runs (see
@@ -30,7 +35,9 @@ in a worker subprocess from a :class:`~repro.serve.pool.WorkerPool`:
   crash retry, so each attempt continues from the last checkpointed
   pass instead of re-deriving everything.  The key hashes the request
   minus ``id``/``_chaos``/``resume``, so a resubmitted identical
-  request also picks up where the crashed one stopped.
+  request also picks up where the crashed one stopped.  A ``resume``
+  a client sent is dropped: only the supervisor's own snapshots are
+  planted.
 
 * **Crash-loop containment.**  A request whose workers keep dying
   *without advancing the checkpoint cursor* is a poison pill, not bad
@@ -39,8 +46,9 @@ in a worker subprocess from a :class:`~repro.serve.pool.WorkerPool`:
   identical resubmission — with a structured *non-retriable*
   ``"crash-loop"`` error instead of burning more forks.  Any cursor
   advance or success resets the strike count; ``invalidate`` clears the
-  quarantine.  A failed spawn never strikes: the request did not reach
-  a worker.
+  quarantine, the retained snapshots and the strikes, then goes to the
+  worker like any other request.  A failed spawn never strikes: the
+  request did not reach a worker.
 
 Error responses carry machine-readable classification::
 
@@ -76,9 +84,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..errors import ReproError
 from ..robust import FaultPlan
 from ..robust.checkpoint import cursor_iterations
-from .pool import WorkerCrashed, WorkerPool, WorkerTimeout
+from .pool import Worker, WorkerCrashed, WorkerTimeout, respawn_backoff
 from .service import ServiceConfig
 from .worker import config_to_wire
 
@@ -89,9 +98,8 @@ CRASH_LOOP_THRESHOLD = 3
 
 @dataclass
 class SupervisorConfig:
-    """Pool and retry policy knobs (see module docstring)."""
+    """Retry and kill policy knobs (see module docstring)."""
 
-    workers: int = 2
     #: Server-wide per-request wall-clock cap in seconds (None: only
     #: budget deadlines arm the kill timer).
     request_timeout: Optional[float] = None
@@ -125,11 +133,16 @@ class Supervisor:
         )
         self.config = config if config is not None else SupervisorConfig()
         self.fault_plan = fault_plan
-        self.pool = WorkerPool(
-            config_to_wire(self.service_config),
-            size=self.config.workers,
-            backoff_base=self.config.backoff_base,
-        )
+        self._config_wire = config_to_wire(self.service_config)
+        #: The one worker, spawned lazily by :meth:`_checkout`.
+        self.worker: Optional[Worker] = None
+        #: Consecutive crashes and failed spawns: the respawn backoff's
+        #: strike count, reset by any success.
+        self.consecutive_failures = 0
+        self.spawned = 0
+        self.crashes = 0
+        self.kills = 0
+        self.closed = False
         self.requests_served = 0
         self.retries = 0
         self.timeouts = 0
@@ -137,8 +150,8 @@ class Supervisor:
         #: repro.obs: the supervisor's aggregate registry.  Workers ship
         #: a "_metrics" delta on every response; it is popped off the
         #: wire here and merged (counters add, gauges max), so a
-        #: ``metrics`` request answers with the whole fleet's view even
-        #: though each worker only ever saw its own requests.
+        #: ``metrics`` request answers with every worker's work, not
+        #: only the current worker's since it was spawned.
         from ..obs.metrics import MetricsRegistry
 
         self.metrics = MetricsRegistry()
@@ -156,6 +169,29 @@ class Supervisor:
         self._strikes: Dict[str, int] = {}
         #: Quarantined request keys → the crash-loop error message.
         self._quarantine: Dict[str, str] = {}
+
+    # ------------------------------------------------------------------
+    # The worker.
+
+    def _checkout(self) -> Worker:
+        """The live worker, spawned after the backoff if there is none.
+        A closed supervisor raises :class:`ReproError`; a failed spawn
+        raises ``OSError`` or :class:`WorkerCrashed`."""
+        if self.closed:
+            raise ReproError("supervisor is closed")
+        if self.worker is None or not self.worker.alive:
+            self._drop_worker()  # reap the corpse
+            respawn_backoff(
+                self.consecutive_failures, self.config.backoff_base
+            )
+            self.worker = Worker(self._config_wire)
+            self.spawned += 1
+        return self.worker
+
+    def _drop_worker(self) -> None:
+        worker, self.worker = self.worker, None
+        if worker is not None:
+            worker.kill()
 
     # ------------------------------------------------------------------
     # Request identity (for resume and crash-loop bookkeeping).
@@ -222,20 +258,19 @@ class Supervisor:
             self.requests_served += 1
             return response
         if op == "metrics":
-            # Answered from the aggregate: any single worker would only
-            # report its own share of the fleet's work.
+            # Answered from the aggregate: the current worker would
+            # only report what it did since it was spawned.
             response = {"ok": True, "metrics": self.metrics.snapshot()}
             if "id" in request:
                 response["id"] = request["id"]
             response["op"] = "metrics"
-        elif op == "invalidate":
-            # A changed world also voids retained snapshots and any
-            # quarantine verdicts — the "poison" may have been fixed.
-            self._resume.clear()
-            self._strikes.clear()
-            self._quarantine.clear()
-            response = self._broadcast(request)
         else:
+            if op == "invalidate":
+                # A changed world also voids retained snapshots and any
+                # quarantine verdicts — the "poison" may have been fixed.
+                self._resume.clear()
+                self._strikes.clear()
+                self._quarantine.clear()
             response = self._execute(request)
         if op == "stats" and response.get("ok"):
             response["supervisor"] = self.stats()
@@ -279,6 +314,7 @@ class Supervisor:
                 message=quarantined,
             )
         payload = dict(request)
+        payload.pop("resume", None)  # only our own snapshots are planted
         if self.fault_plan is not None:
             chaos = dict(payload.get("_chaos") or {})
             if self.fault_plan.probe("request"):
@@ -314,11 +350,12 @@ class Supervisor:
                 self.metrics.counter("resume.wire_attached").inc()
             cursor_before = progress["cursor"]
             tracer = self.tracer
-            slot = None
+            worker = None
             try:
-                # A closed pool raises ReproError out of here; a failed
-                # spawn raises OSError or WorkerCrashed with slot unset.
-                slot, worker = self.pool.checkout()
+                # A closed supervisor raises ReproError out of here; a
+                # failed spawn raises OSError or WorkerCrashed with
+                # worker unset.
+                worker = self._checkout()
                 if tracer is not None:
                     # One span per attempt.  A worker that answers ships
                     # its own spans (absorbed below) nested under this
@@ -326,9 +363,7 @@ class Supervisor:
                     # the attempt span ``aborted`` is the explicit
                     # tombstone that keeps the stitched tree whole
                     # (docs/tracing.md).
-                    tracer.begin(
-                        "worker.attempt", attempt=attempts, slot=slot
-                    )
+                    tracer.begin("worker.attempt", attempt=attempts)
                     payload["_trace"] = tracer.current_context()
                 response = worker.request(
                     payload, timeout, on_interim=note_interim
@@ -340,7 +375,10 @@ class Supervisor:
                 self.timeouts += 1
                 self.metrics.counter("serve.worker.timeouts").inc()
                 self.metrics.counter("serve.worker.respawns").inc()
-                self.pool.report_kill(slot)
+                # A deliberate kill: the request was bad, not the
+                # worker, so it adds no backoff strike.
+                self.kills += 1
+                self._drop_worker()
                 return self._error_response(
                     request,
                     kind="timeout",
@@ -352,10 +390,13 @@ class Supervisor:
                     ),
                 )
             except (OSError, WorkerCrashed) as error:
-                # With slot unset the spawn failed and the pool already
-                # struck the slot; the request never reached a worker,
-                # so it earns no crash-loop strike.
-                if slot is not None:
+                # A crash and a failed spawn both add a backoff strike.
+                # With worker unset the spawn failed: the request never
+                # reached a worker, so it earns no crash-loop strike.
+                self.crashes += 1
+                self.consecutive_failures += 1
+                self._drop_worker()
+                if worker is not None:
                     if tracer is not None:
                         tracer.end(aborted=True, error_kind="worker-crash")
                         self.metrics.counter(
@@ -364,7 +405,6 @@ class Supervisor:
                     self.crashes_survived += 1
                     self.metrics.counter("serve.worker.crashes").inc()
                     self.metrics.counter("serve.worker.respawns").inc()
-                    self.pool.report_crash(slot)
                     # An injected kill fired; the retry must run clean.
                     payload.pop("_chaos", None)
                     if progress["cursor"] > cursor_before:
@@ -410,7 +450,7 @@ class Supervisor:
                 if attempts <= self.config.max_retries:
                     self.retries += 1
                     self.metrics.counter("serve.worker.retries").inc()
-                    continue  # pool backoff throttles the respawn
+                    continue  # the backoff throttles the respawn
                 return self._error_response(
                     request,
                     kind="worker-crash",
@@ -419,14 +459,13 @@ class Supervisor:
                     message=str(error),
                 )
             else:
-                self.pool.report_success(slot)
+                self.consecutive_failures = 0
                 self._absorb_metrics(response)
                 self._absorb_spans(response)
                 if tracer is not None:
                     tracer.end()
                 self._strikes.pop(key, None)
                 self._resume.pop(key, None)  # the work is done; GC
-                response["worker"] = slot
                 if attempts > 1:
                     response["attempts"] = attempts
                 return response
@@ -472,41 +511,6 @@ class Supervisor:
             response["id"] = request["id"]
         return response
 
-    def _broadcast(self, request: dict) -> dict:
-        """Send one request to every live worker (cache invalidation
-        must reach each worker's in-memory store; the shared disk store
-        is cleared by whichever worker gets there first)."""
-        response = {"ok": True, "op": request.get("op")}
-        workers = self.pool.workers()
-        if not workers:
-            try:
-                workers = [self.pool.checkout()]
-            except (OSError, WorkerCrashed) as error:
-                return self._error_response(
-                    request,
-                    kind="worker-crash",
-                    retriable=True,
-                    attempts=1,
-                    message=str(error),
-                )
-        for slot, worker in workers:
-            try:
-                answer = worker.request(dict(request), self._timeout_for(request))
-            except (WorkerCrashed, WorkerTimeout):
-                self.pool.report_crash(slot)
-                self.metrics.counter("serve.worker.respawns").inc()
-                continue
-            self.pool.report_success(slot)
-            self._absorb_metrics(answer)
-            self._absorb_spans(answer)
-            response.update(
-                (key, value) for key, value in answer.items()
-                if key not in ("elapsed_ms",)
-            )
-        if "id" in request:
-            response["id"] = request["id"]
-        return response
-
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
@@ -517,12 +521,19 @@ class Supervisor:
             "crashes_survived": self.crashes_survived,
             "quarantined": len(self._quarantine),
             "retained_checkpoints": len(self._resume),
-            "pool": self.pool.stats(),
+            "pool": {
+                "size": 1,
+                "alive": int(self.worker is not None and self.worker.alive),
+                "spawned": self.spawned,
+                "crashes": self.crashes,
+                "kills": self.kills,
+            },
             "metrics": self.metrics.snapshot(),
         }
 
     def close(self) -> None:
-        self.pool.close()
+        self.closed = True
+        self._drop_worker()
         if self.tracer is not None:
             # Ends anything still open (marked aborted) and flushes the
             # shared sink; the sink itself belongs to whoever opened it.

@@ -1,14 +1,14 @@
-"""The worker-subprocess side of the supervised pool.
+"""The worker-subprocess side of the supervisor.
 
-``python -m repro.serve.worker`` is spawned by
-:class:`repro.serve.pool.WorkerPool`.  Protocol, all JSON lines on
+``python -m repro.serve.worker`` is spawned by the supervisor's one
+:class:`repro.serve.pool.Worker`.  Protocol, all JSON lines on
 stdin/stdout: the first line is the wire-encoded
-:class:`~repro.serve.service.ServiceConfig`; every later line is one
-request, answered by exactly one response line.  The worker is the
-crash-isolation boundary — a segfault, OOM kill, or runaway recursion
-takes down this process, never the service: the supervisor reaps the
-corpse, spawns a replacement, and retries or answers with a structured
-error.
+:class:`~repro.serve.service.ServiceConfig`, answered by one ready line
+once the service is built; every later line is one request, answered by
+exactly one response line.  The worker is the crash-isolation boundary
+— a segfault, OOM kill, or runaway recursion takes down this process,
+never the service: the supervisor reaps the corpse, spawns a
+replacement, and retries or answers with a structured error.
 
 Requests may carry a ``"_chaos"`` directive (injected by the
 supervisor's :class:`~repro.robust.FaultPlan`, or by a test driving the
@@ -32,7 +32,10 @@ Besides the one response line per request, the worker may emit
 :class:`~repro.robust.checkpoint.CheckpointPolicy` emits.  The
 supervisor retains the newest one per request key and attaches it as
 ``"resume"`` when it retries after a crash, so a killed worker's
-fixpoint progress survives even without a shared disk store.
+fixpoint progress survives even without a shared disk store.  The
+worker trusts its pipe: it pops ``"resume"`` and hands it to the
+service as an argument, while the service ignores the field in a
+request.
 
 Requests may also carry a ``"_trace"`` context (see docs/tracing.md):
 ``{"trace": "<id>", "parent": "<process>:<span>"}``.  The worker then
@@ -59,6 +62,7 @@ import time
 from typing import Optional
 
 from ..robust import Budget
+from .pool import READY_LINE
 from .service import AnalysisService, ServiceConfig
 
 # ----------------------------------------------------------------------
@@ -139,6 +143,8 @@ def worker_loop(stdin, stdout) -> int:
         stdout.flush()
         return 2
     service = AnalysisService(config)
+    stdout.write(READY_LINE + "\n")
+    stdout.flush()
 
     def ship_checkpoint(snap: dict) -> None:
         stdout.write(json.dumps(
@@ -178,8 +184,9 @@ def worker_loop(stdin, stdout) -> int:
                         process=f"worker-{os.getpid()}.{trace_seq}",
                         context=trace_context,
                     )
+                resume = request.pop("resume", None)
                 try:
-                    response = service.handle(request)
+                    response = service.handle(request, resume=resume)
                 except Exception as error:  # the isolation boundary
                     response = {
                         "ok": False,

@@ -21,7 +21,12 @@ from repro.obs import MetricsRegistry
 from repro.prolog.program import Program
 from repro.robust import Budget
 from repro.robust import checkpoint as ckpt
-from repro.serve import ServiceConfig, Supervisor, SupervisorConfig
+from repro.serve import (
+    AnalysisService,
+    ServiceConfig,
+    Supervisor,
+    SupervisorConfig,
+)
 from repro.serve.callgraph import CallGraph
 from repro.serve.scheduler import SCCScheduler
 from repro.serve.store import DiskStore, ResultStore
@@ -299,7 +304,6 @@ def _scratch():
 
 
 def _supervisor(service_config=None, **kwargs):
-    kwargs.setdefault("workers", 1)
     kwargs.setdefault("max_retries", 2)
     kwargs.setdefault("backoff_base", 0.01)
     kwargs.setdefault("grace", 0.2)
@@ -372,6 +376,41 @@ def test_cumulative_timeout_bounds_the_retry_chain():
         supervisor.close()
 
 
+def _forged_resume():
+    """A snapshot that passes every check ``load`` makes — the service's
+    own config and request fingerprints, a valid checksum — but claims
+    a ⊤ success for nrev/2."""
+    service = AnalysisService(ServiceConfig(checkpoint_every=1))
+    genuine = []
+    service.checkpoint_wire_sink = genuine.append
+    service.handle({"op": "analyze", "text": NREV, "entries": [ENTRY]})
+    forged = json.loads(json.dumps(genuine[-1]))
+    for item in forged["table"]:
+        if item["predicate"] == "nrev/2":
+            item["success"] = [["i", "ANY", 0], ["i", "ANY", 1]]
+    forged["sha256"] = ckpt.checkpoint_checksum(forged)
+    return forged
+
+
+def test_a_client_cannot_plant_a_resume_snapshot():
+    forged = {
+        "op": "analyze", "text": NREV, "entries": [ENTRY],
+        "resume": _forged_resume(),
+    }
+    clean = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
+    service = AnalysisService(ServiceConfig())
+    in_process = [service.handle(dict(forged)), service.handle(dict(clean))]
+    supervisor = _supervisor(ServiceConfig())
+    try:
+        supervised = [
+            supervisor.handle(dict(forged)), supervisor.handle(dict(clean))
+        ]
+    finally:
+        supervisor.close()
+    for response in in_process + supervised:
+        assert response["ok"] and response["result"] == _scratch()
+
+
 # ----------------------------------------------------------------------
 # The forward-progress contract, in miniature.
 
@@ -411,3 +450,26 @@ def test_scheduler_resume_plants_and_converges_identically():
     )
     assert stats.resume_planted == len(snap["table"])
     assert resumed.stable_dict() == scratch.stable_dict()
+
+
+# ----------------------------------------------------------------------
+# repro-analyze --checkpoint / --resume.
+
+
+def test_cli_resume_refuses_a_snapshot_of_another_program(tmp_path, capsys):
+    from repro.cli import main_analyze
+
+    snapshot = str(tmp_path / "snap.json")
+    other = tmp_path / "other.pl"
+    other.write_text("p(a). p(1).\n")
+    program = tmp_path / "p.pl"
+    program.write_text("p(a).\n")
+    assert main_analyze([
+        str(other), "p(var)", "--checkpoint", snapshot,
+        "--checkpoint-every", "1",
+    ]) == 0
+    capsys.readouterr()
+    assert main_analyze([str(program), "p(var)", "--resume", snapshot]) == 0
+    out, err = capsys.readouterr()
+    assert "different program" in err
+    assert "p/1(-:var->atom)" in out  # from scratch, not the const

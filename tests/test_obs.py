@@ -9,7 +9,7 @@ them:
   assert hand-counted values;
 * traces nest strictly (``validate_nesting`` accepts every trace the
   instrumented stack writes, and rejects hand-made violations);
-* a supervisor's registry is the sum of its workers' shipped deltas.
+* a supervisor's registry is the sum of its worker's shipped deltas.
 """
 
 import json
@@ -392,15 +392,16 @@ class TestServiceObservability:
 
 
 # ----------------------------------------------------------------------
-# Supervisor aggregation: the fleet view is the sum of worker deltas.
+# Supervisor aggregation: the supervisor's view is the sum of the
+# deltas its worker shipped.
 
 
 class TestSupervisorAggregation:
-    def test_two_workers_sum_into_the_supervisor_registry(self):
+    def test_worker_deltas_sum_into_the_supervisor_registry(self):
         from repro.serve import Supervisor, SupervisorConfig
 
         supervisor = Supervisor(
-            ServiceConfig(), SupervisorConfig(workers=2, max_retries=0)
+            ServiceConfig(), SupervisorConfig(max_retries=0)
         )
         try:
             request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
@@ -409,8 +410,8 @@ class TestSupervisorAggregation:
             answer = supervisor.handle({"op": "metrics"})
             assert answer["ok"]
             snapshot = answer["metrics"]
-            # Shipped by the workers and merged here: each analyze was
-            # served (and counted) by exactly one worker.
+            # Shipped by the worker and merged here: each analyze was
+            # counted once.
             assert _value(snapshot, "serve.requests{op=analyze}") == 3
             assert _value(snapshot, "wam.instructions") > 0
             # Counted by the supervisor itself.
@@ -424,7 +425,7 @@ class TestSupervisorAggregation:
         from repro.serve import Supervisor, SupervisorConfig
 
         supervisor = Supervisor(
-            ServiceConfig(), SupervisorConfig(workers=1, max_retries=0)
+            ServiceConfig(), SupervisorConfig(max_retries=0)
         )
         try:
             response = supervisor.handle(

@@ -50,12 +50,10 @@ def _scratch(text, entry):
     return Analyzer(Program.from_text(text)).analyze([entry]).stable_dict()
 
 
-def _supervisor(store_dir, fault_plan=None, workers=1):
+def _supervisor(store_dir, fault_plan=None):
     return Supervisor(
         ServiceConfig(store_dir=store_dir, journal=True),
-        SupervisorConfig(
-            workers=workers, max_retries=2, backoff_base=0.01, grace=0.2
-        ),
+        SupervisorConfig(max_retries=2, backoff_base=0.01, grace=0.2),
         fault_plan=fault_plan,
     )
 
@@ -101,7 +99,7 @@ def test_kill_exhausting_retries_leaves_store_consistent(tmp_path):
     request = {"op": "analyze", "text": NREV, "entries": ["nrev(glist, var)"]}
     first = Supervisor(
         ServiceConfig(store_dir=store, journal=True),
-        SupervisorConfig(workers=1, max_retries=0, backoff_base=0.01),
+        SupervisorConfig(max_retries=0, backoff_base=0.01),
         fault_plan=FaultPlan(kill_worker_at_request=1),
     )
     try:
@@ -180,7 +178,7 @@ def test_chaos_campaign_small():
     from repro.bench.chaos import run
 
     document = run(
-        requests=24, workers=2, kill_every=7, corrupt_every=9,
+        requests=24, kill_every=7, corrupt_every=9,
         request_timeout=30.0, delay_index=11,
     )
     assert document["requests_served"] == 24

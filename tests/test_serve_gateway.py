@@ -476,7 +476,7 @@ def test_shard_respawns_and_warms_up_after_backend_death():
 def test_shard_strikes_back_off_a_failing_backend_factory():
     # The shard's own strike count is the only backoff when the factory
     # itself raises (an in-process backend's DiskStore cannot create
-    # its partition, say): no WorkerPool is there to see the failure.
+    # its partition, say): no supervisor is there to see the failure.
     async def scenario():
         calls = []
 
@@ -515,6 +515,43 @@ def test_shard_strikes_back_off_a_failing_backend_factory():
 
 # ----------------------------------------------------------------------
 # Protocol abuse over the socket.
+
+
+def test_gateway_runs_at_most_one_worker_per_shard():
+    from repro.cli import main_serve
+
+    with pytest.raises(ValueError, match="workers"):
+        GatewayConfig(workers=2)
+    with pytest.raises(SystemExit) as exit_info:
+        main_serve(["--workers", "2"])
+    assert exit_info.value.code == 2
+
+
+def test_gateway_drops_chaos_from_clients():
+    # A network client must not reach the worker's fault injection: a
+    # 6 s delay directive would stall the shard's only dispatch thread.
+    async def scenario():
+        gateway = Gateway(
+            GatewayConfig(shards=1, workers=1), ServiceConfig()
+        )
+        await gateway.start()
+        reader, writer = await _connect(gateway)
+        try:
+            started = time.monotonic()
+            response = await _ask(reader, writer, {
+                "op": "analyze", "text": NREV,
+                "entries": ["nrev(glist, var)"],
+                "_chaos": {"delay": 6.0},
+            })
+            return response, time.monotonic() - started
+        finally:
+            writer.close()
+            await gateway.stop()
+
+    response, elapsed = asyncio.run(scenario())
+    assert response["ok"], response
+    assert response["result"] == _scratch(NREV, "nrev(glist, var)")
+    assert elapsed < 4.0
 
 
 def test_oversized_line_is_shed_and_next_request_survives():

@@ -48,7 +48,6 @@ def _scratch(text=NREV, entries=(ENTRY,)):
 
 
 def _supervisor(fault_plan=None, service_config=None, **kwargs):
-    kwargs.setdefault("workers", 1)
     kwargs.setdefault("max_retries", 2)
     kwargs.setdefault("backoff_base", 0.01)
     kwargs.setdefault("grace", 0.2)
@@ -147,9 +146,9 @@ def test_kill_beyond_retries_is_structured_retriable_error():
 def _failing_spawns(monkeypatch, failures=None):
     """Make the first ``failures`` worker spawns raise like a refused
     fork (``None``: every spawn fails until the patch is undone)."""
-    from repro.serve import pool
+    from repro.serve import supervisor
 
-    real = pool.Worker
+    real = supervisor.Worker
     calls = itertools.count()
 
     def spawn(*args, **kwargs):
@@ -157,7 +156,7 @@ def _failing_spawns(monkeypatch, failures=None):
             raise BlockingIOError("fork: resource temporarily unavailable")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pool, "Worker", spawn)
+    monkeypatch.setattr(supervisor, "Worker", spawn)
 
 
 def test_failed_spawn_is_retried_like_a_crash(monkeypatch):
@@ -195,9 +194,12 @@ def test_failed_spawns_beyond_retries_are_structured_not_quarantined(
 
 
 def test_invalidate_when_no_worker_can_start_is_structured(monkeypatch):
-    _failing_spawns(monkeypatch, 1)
+    # invalidate is retried like any other request, so every spawn of
+    # its chain must fail for the error to reach the client.
+    _failing_spawns(monkeypatch)
     with _supervisor() as supervisor:
         response = supervisor.handle({"op": "invalidate", "id": 3})
+        monkeypatch.undo()
         after = supervisor.handle(dict(REQUEST))
     assert response["ok"] is False
     assert response["error_kind"] == "worker-crash"
@@ -209,7 +211,7 @@ def test_external_sigkill_between_requests_is_survived():
     with _supervisor() as supervisor:
         first = supervisor.handle(dict(REQUEST))
         assert first["ok"]
-        [(_, worker)] = supervisor.pool.workers()
+        worker = supervisor.worker
         os.kill(worker.pid, signal.SIGKILL)
         worker.process.wait(timeout=10)
         second = supervisor.handle(dict(REQUEST))
@@ -221,10 +223,10 @@ def test_worker_python_exception_does_not_cost_the_worker():
     respawn."""
     with _supervisor() as supervisor:
         supervisor.handle(dict(REQUEST))
-        spawned = supervisor.pool.stats()["spawned"]
+        spawned = supervisor.spawned
         bad = supervisor.handle({"op": "nope"})
         again = supervisor.handle(dict(REQUEST))
-        assert supervisor.pool.stats()["spawned"] == spawned
+        assert supervisor.spawned == spawned
     assert bad["ok"] is False and again["ok"] is True
 
 
@@ -318,11 +320,11 @@ def test_unwaitable_deadline_answered_alike_in_and_out_of_process(
 def test_shutdown_closes_the_pool():
     supervisor = _supervisor()
     first = supervisor.handle(dict(REQUEST))
-    workers = [worker for _, worker in supervisor.pool.workers()]
+    worker = supervisor.worker
     response = supervisor.handle({"op": "shutdown", "id": 3})
     assert first["ok"] and response["shutdown"] and response["id"] == 3
-    assert supervisor.pool.closed
-    assert all(not worker.alive for worker in workers)
+    assert supervisor.closed and supervisor.worker is None
+    assert not worker.alive
 
 
 def test_stats_carry_supervisor_block():
@@ -334,12 +336,14 @@ def test_stats_carry_supervisor_block():
     assert response["supervisor"]["pool"]["size"] == 1
 
 
-def test_invalidate_broadcasts_to_workers():
-    with _supervisor(workers=2) as supervisor:
-        supervisor.handle(dict(REQUEST))
-        supervisor.handle(dict(REQUEST))  # lands on the other worker
+def test_one_worker_keeps_one_cache_until_invalidate():
+    with _supervisor() as supervisor:
+        first = supervisor.handle(dict(REQUEST))
+        second = supervisor.handle(dict(REQUEST))
         response = supervisor.handle({"op": "invalidate"})
         cold = supervisor.handle(dict(REQUEST))
+    assert first["ok"] and first["cache"]["outcome"] != HIT
+    assert second["ok"] and second["cache"]["outcome"] == HIT
     assert response["ok"] and response.get("invalidated")
     assert cold["ok"] and cold["cache"]["outcome"] != HIT
 
@@ -382,31 +386,32 @@ def test_run_batch_through_supervisor(tmp_path):
 # Satellite: the backoff discipline around crashes and slow successes.
 
 
-def test_backoff_resets_after_healthy_request():
-    from repro.serve import WorkerPool
+def test_backoff_resets_after_healthy_request(monkeypatch):
+    # A crash strikes the backoff, a success resets it, and a deliberate
+    # timeout kill strikes nothing: the respawn after it is immediate.
+    from repro.serve import supervisor as supervisor_module
 
-    pool = WorkerPool(
-        config_to_wire(ServiceConfig()), size=1, backoff_base=0.4,
+    backoffs = []
+    monkeypatch.setattr(
+        supervisor_module, "respawn_backoff",
+        lambda strikes, base: backoffs.append(strikes),
     )
-    try:
-        slot, _ = pool.checkout()
-        pool.report_crash(slot)
-        assert pool._strikes == [1]
-        started = time.perf_counter()
-        slot, worker = pool.checkout()  # the respawn pays the backoff
-        assert time.perf_counter() - started >= 0.3
-        response = worker.request(dict(REQUEST), 60.0)
-        assert response["ok"]
-        pool.report_success(slot)
-        assert pool._strikes == [0]
-        # A deliberate kill strikes nothing, and the healthy request
-        # reset the crash strike — so the next respawn is immediate.
-        pool.report_kill(slot)
-        started = time.perf_counter()
-        pool.checkout()
-        assert time.perf_counter() - started < 0.3
-    finally:
-        pool.close()
+    plan = FaultPlan(kill_worker_at_request=1)
+    with _supervisor(fault_plan=plan) as supervisor:
+        assert supervisor.handle(dict(REQUEST))["ok"]
+        assert backoffs == [0, 1]  # first spawn, then the respawn
+        assert supervisor.consecutive_failures == 0
+        killed = supervisor.handle({
+            **REQUEST, "budget": {"deadline": 0.1},
+            "_chaos": {"delay": 5.0},
+        })
+        assert killed["error_kind"] == "timeout"
+        assert supervisor.consecutive_failures == 0
+        assert supervisor.handle(dict(REQUEST))["ok"]
+        stats = supervisor.stats()["pool"]
+    assert backoffs == [0, 1, 0]
+    assert stats["crashes"] == 1 and stats["kills"] == 1
+    assert stats["spawned"] == 3
 
 
 def test_kill_timer_grace_waits_out_a_slow_success():
@@ -423,6 +428,27 @@ def test_kill_timer_grace_waits_out_a_slow_success():
         assert response["ok"], response
         assert response["result"] == _scratch()
         assert supervisor.timeouts == 0
-        assert supervisor.pool.kills == 0
+        assert supervisor.kills == 0
     finally:
         supervisor.close()
+
+
+def test_kill_timer_starts_after_the_worker_is_up():
+    # A 0.1 s kill window is far shorter than a worker's start-up, but
+    # the spawn waits for the worker's ready line before the request's
+    # timer runs: the answer arrives, and the worker that gave it stays
+    # up to answer the repeat from its cache.
+    request = {"op": "analyze", "text": "p(a).", "entries": ["p(var)"]}
+    with _supervisor(request_timeout=0.05, grace=0.05) as supervisor:
+        first = supervisor.handle(dict(request))
+        second = supervisor.handle(dict(request))
+    assert first["ok"], first
+    assert second["ok"] and second["cache"]["outcome"] == HIT
+
+
+def test_worker_without_a_ready_line_is_a_failed_spawn():
+    from repro.serve.pool import Worker, WorkerCrashed
+
+    # The worker refuses the config and exits instead of getting ready.
+    with pytest.raises(WorkerCrashed, match="did not start"):
+        Worker({"budget": "not a budget"})

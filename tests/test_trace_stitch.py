@@ -180,11 +180,11 @@ class TestStitch:
 class TestSupervisorRoundTrip:
     """Real worker subprocesses shipping spans up the wire."""
 
-    def test_two_worker_round_trip_stitches_into_trees(self, tmp_path):
+    def test_worker_round_trip_stitches_into_trees(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         supervisor = Supervisor(
             ServiceConfig(),
-            SupervisorConfig(workers=2),
+            SupervisorConfig(),
             tracer=Tracer(path, process="supervisor-0"),
         )
         try:
@@ -225,7 +225,7 @@ class TestSupervisorRoundTrip:
         path = str(tmp_path / "trace.jsonl")
         supervisor = Supervisor(
             ServiceConfig(),
-            SupervisorConfig(workers=1, max_retries=2),
+            SupervisorConfig(max_retries=2),
             tracer=Tracer(path, process="supervisor-0"),
         )
         try:
