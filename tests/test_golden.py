@@ -38,10 +38,19 @@ analyzed with ``subsumption=True``, the mode where an entry's answer
 may come from a more general explored entry, so the order in which the
 search explores entries can move the result.  It holds one canonical
 result per case; :func:`regenerate` rewrites it too.
+
+``tests/golden/tokens.json`` pins the tokenizer on the golden programs
+and the fuzz-slice programs: per input, the token count and the sha256
+of the canonical stream (:func:`token_stream`), positions included.  A
+tokenizer rewrite must leave it unchanged; a deliberate change to the
+token stream rewrites it with::
+
+    PYTHONPATH=src python -c "import tests.test_golden as g; g.regenerate_tokens()"
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import List, Tuple
@@ -52,6 +61,7 @@ from repro.analysis.driver import Analyzer
 from repro.bench.programs import BENCHMARKS
 from repro.fuzz.grammar import generate_program
 from repro.obs import MetricsRegistry
+from repro.prolog.tokenizer import tokenize
 from repro.serve.service import AnalysisService
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
@@ -63,6 +73,7 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 FUZZ_SLICE = GOLDEN_DIR / "fuzz_slice.json"
 FUZZ_SLICE_SEEDS = range(40)
 SUBSUMPTION_SLICE = GOLDEN_DIR / "subsumption_slice.json"
+TOKENS = GOLDEN_DIR / "tokens.json"
 #: The counters a fuzz-slice golden keeps per program: together they pin
 #: how the search went, not only where it ended.
 FUZZ_SLICE_METRICS = (
@@ -144,6 +155,29 @@ def subsumption_result(text: str, entries: List[str]) -> dict:
     return Analyzer(text, subsumption=True).analyze(entries).stable_dict()
 
 
+def token_cases() -> List[Tuple[str, str]]:
+    """(key, text) for the token golden: every golden program, then the
+    fuzz-slice programs as ``fuzz_<seed>``."""
+    cases = [(name, text) for name, text, _ in CASES]
+    for seed in FUZZ_SLICE_SEEDS:
+        cases.append((f"fuzz_{seed}", generate_program(seed).source))
+    return cases
+
+
+def token_stream(text: str) -> dict:
+    """Token count and sha256 of the canonical token stream of ``text``:
+    kind, value, value type, line, column and functor flag per token."""
+    tokens = tokenize(text)
+    stream = json.dumps([
+        [t.kind, t.value, type(t.value).__name__, t.line, t.column, t.functor]
+        for t in tokens
+    ])
+    return {
+        "count": len(tokens),
+        "sha256": hashlib.sha256(stream.encode("utf-8")).hexdigest(),
+    }
+
+
 def regenerate() -> None:
     """Rewrite every result golden, the fuzz and subsumption slices
     included, from the plain driver."""
@@ -162,6 +196,14 @@ def regenerate() -> None:
             key: subsumption_result(text, entries)
             for key, text, entries in subsumption_cases()
         }),
+        encoding="utf-8",
+    )
+
+
+def regenerate_tokens() -> None:
+    """Rewrite the token golden from the tokenizer."""
+    TOKENS.write_text(
+        canonical({key: token_stream(text) for key, text in token_cases()}),
         encoding="utf-8",
     )
 
@@ -243,3 +285,22 @@ def test_subsumption_slice(key, text, entries, subsumption_golden):
     assert canonical(subsumption_result(text, entries)) == canonical(
         subsumption_golden[key]
     )
+
+
+TOKEN_CASES = token_cases()
+
+
+@pytest.fixture(scope="module")
+def tokens_golden() -> dict:
+    return json.loads(TOKENS.read_text(encoding="utf-8"))
+
+
+def test_tokens_cover_their_cases(tokens_golden):
+    assert sorted(tokens_golden) == sorted(key for key, _ in TOKEN_CASES)
+
+
+@pytest.mark.parametrize(
+    "key,text", TOKEN_CASES, ids=[case[0] for case in TOKEN_CASES]
+)
+def test_tokens(key, text, tokens_golden):
+    assert token_stream(text) == tokens_golden[key]
