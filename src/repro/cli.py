@@ -804,8 +804,7 @@ def _serve_command(argv: Optional[Sequence[str]] = None) -> int:
             )
         return serve_loop(service, sys.stdin, sys.stdout)
     finally:
-        if hasattr(service, "close"):
-            service.close()
+        service.close()
         if tracer is not None:
             tracer.close()
 

@@ -110,11 +110,9 @@ class OperatorTable:
     """Mutable operator table; one per reader/program."""
 
     def __init__(self) -> None:
-        self._prefix: Dict[str, OpDef] = {}
-        self._infix: Dict[str, OpDef] = {}
-        self._postfix: Dict[str, OpDef] = {}
-        for priority, kind, name in STANDARD_OPERATORS:
-            self.add(priority, kind, name)
+        self._prefix: Dict[str, OpDef] = dict(_STANDARD._prefix)
+        self._infix: Dict[str, OpDef] = dict(_STANDARD._infix)
+        self._postfix: Dict[str, OpDef] = dict(_STANDARD._postfix)
 
     def add(self, priority: int, kind: str, name: str) -> None:
         """Define or redefine an operator, as ``op(Priority, Kind, Name)``."""
@@ -147,3 +145,15 @@ class OperatorTable:
         return (
             name in self._prefix or name in self._infix or name in self._postfix
         )
+
+
+def _standard_table() -> OperatorTable:
+    table = object.__new__(OperatorTable)
+    table._prefix, table._infix, table._postfix = {}, {}, {}
+    for priority, kind, name in STANDARD_OPERATORS:
+        table.add(priority, kind, name)
+    return table
+
+
+#: The standard table; a new :class:`OperatorTable` starts as a copy of it.
+_STANDARD = _standard_table()

@@ -53,12 +53,13 @@ class Parser:
     # ------------------------------------------------------------------
     # Token stream helpers.
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def _peek(self) -> Token:
+        return self.tokens[self.index]
 
     def _next(self) -> Token:
-        token = self._peek()
+        """The next token, consumed; ``eof`` is never consumed, so
+        :attr:`index` stays inside the list."""
+        token = self.tokens[self.index]
         if token.kind != "eof":
             self.index += 1
         return token

@@ -17,22 +17,22 @@ parser.  The token classes follow the standard Prolog lexical conventions:
 An atom token directly followed by ``(`` (no layout between) is marked
 ``functor=True`` — the parser needs that distinction to tell ``f(a)`` from
 ``f (a)`` per the standard.
+
+Scanning works the way CPython's own ``tokenize`` module does: one
+compiled alternation (:data:`_TOKEN`) is matched at the current offset,
+and the group that matched says what the token is.  Line and column
+come from the match offsets, counting the newlines inside layout and
+quoted tokens.  Quoted tokens with escapes and ``0'c`` character codes
+take a small procedural path (:func:`_scan_char`).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Tuple, Union
 
 from ..errors import PrologSyntaxError
-
-#: Characters that form symbolic atoms such as ``:-`` and ``=..``.
-SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
-
-#: Solo characters: each is an atom on its own.
-SOLO_CHARS = set("!;")
-
-PUNCT_CHARS = set("()[]{},|")
 
 
 @dataclass
@@ -68,213 +68,179 @@ _ESCAPES = {
     "0": "\0",
 }
 
+#: Layout (group 1) and then one token, whose group number the loop in
+#: :func:`tokenize` reads from ``lastindex``.  Alternatives are tried in
+#: order: the end dot and an unterminated ``/*`` before symbol atoms,
+#: ``0'`` and radix forms before decimals.  ``\d`` is ``str.isdecimal``
+#: and ``\w`` is ``str.isalnum`` or ``_``; a letter outside ASCII takes
+#: the last alternative and is classified there.  A quoted token with
+#: no escape matches whole; a closing quote is one not followed by
+#: another, so ``''`` stays a doubled quote as in :func:`_scan_quoted`.
+_TOKEN = re.compile(
+    r"((?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*)"
+    r"(?:([a-z]\w*)"                                  # 2 name atom
+    r"|([A-Z_]\w*)"                                   # 3 variable
+    r"|([()\[\]{},|])"                                # 4 punctuation
+    r"|(\.)(?=[ \t\r\n%]|\Z)"                         # 5 end
+    r"|(/\*)"                                         # 6 unterminated comment
+    r"|([-+*/\\^<>=~:.?@#&$]+)"                       # 7 symbol atom
+    r"|([!;])"                                        # 8 solo atom
+    r"|(0')"                                          # 9 character code
+    r"|0x([0-9a-fA-F]+)|0o([0-7]+)|0b([01]+)"         # 10-12 radix
+    r"|(0[xob])"                                      # 13 radix, no digits
+    r"|(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"              # 14 decimal number
+    r"|'([^'\\]*(?:''[^'\\]*)*)'(?!')"                # 15 quoted atom
+    r"|\"([^\"\\]*(?:\"\"[^\"\\]*)*)\"(?!\")"         # 16 string
+    r"|(['\"])"                                       # 17 quoted, escaped
+    r"|(\Z)"                                          # 18 end of input
+    r"|(.))",                                         # 19 anything else
+    re.S,
+)
+_RADIX = {10: 16, 11: 8, 12: 2}
+_NAME = re.compile(r"\w*")
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]*")
 
-class Tokenizer:
-    """Converts Prolog source text to a list of tokens."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # ------------------------------------------------------------------
-    # Low-level character handling.
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.text):
-            return self.text[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
-
-    def _error(self, message: str) -> PrologSyntaxError:
-        return PrologSyntaxError(message, self.line, self.column)
-
-    # ------------------------------------------------------------------
-    # Layout and comments.
-
-    def _skip_layout(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "%":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while True:
-                    if not self._peek():
-                        raise self._error("unterminated block comment")
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    # Token scanners.
-
-    def tokens(self) -> List[Token]:
-        """Tokenize the whole text, ending with a single ``eof`` token."""
-        result: List[Token] = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind == "eof":
-                return result
-
-    def next_token(self) -> Token:
-        self._skip_layout()
-        line, column = self.line, self.column
-        ch = self._peek()
-        if not ch:
-            return Token("eof", "", line, column)
-        if ch == ".":
-            follower = self._peek(1)
-            if follower == "" or follower in " \t\r\n%":
-                self._advance()
-                return Token("end", ".", line, column)
-        if ch in PUNCT_CHARS:
-            self._advance()
-            return Token("punct", ch, line, column)
-        if ch.isdigit():
-            return self._scan_number(line, column)
-        if ch == "_" or ch.isalpha():
-            return self._scan_name(line, column)
-        if ch == "'":
-            return self._scan_quoted_atom(line, column)
-        if ch == '"':
-            return self._scan_string(line, column)
-        if ch in SOLO_CHARS:
-            self._advance()
-            return self._atom_token(ch, line, column)
-        if ch in SYMBOL_CHARS:
-            return self._scan_symbol(line, column)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _atom_token(self, name: str, line: int, column: int) -> Token:
-        functor = self._peek() == "("
-        return Token("atom", name, line, column, functor=functor)
-
-    def _scan_name(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        name = self.text[start:self.pos]
-        if name[0] == "_" or name[0].isupper():
-            return Token("var", name, line, column)
-        return self._atom_token(name, line, column)
-
-    def _scan_symbol(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek() in SYMBOL_CHARS:
-            self._advance()
-        return self._atom_token(self.text[start:self.pos], line, column)
-
-    def _scan_number(self, line: int, column: int) -> Token:
-        if self._peek() == "0" and self._peek(1) == "'":
-            self._advance(2)
-            return Token("int", ord(self._scan_char("'")), line, column)
-        if self._peek() == "0" and self._peek(1) in ("x", "o", "b"):
-            base = {"x": 16, "o": 8, "b": 2}[self._peek(1)]
-            digits = {16: "0123456789abcdefABCDEF", 8: "01234567", 2: "01"}[base]
-            self._advance(2)
-            start = self.pos
-            while self._peek() and self._peek() in digits:
-                self._advance()
-            if start == self.pos:
-                raise self._error("missing digits after radix prefix")
-            return Token("int", int(self.text[start:self.pos], base), line, column)
-        start = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE":
-            mark = self.pos
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            if self._peek().isdigit():
-                is_float = True
-                while self._peek().isdigit():
-                    self._advance()
-            else:
-                # Not an exponent after all (e.g. ``2e`` in ``X is 2*e``).
-                self.pos = mark
-        text = self.text[start:self.pos]
-        if is_float:
-            return Token("float", float(text), line, column)
-        return Token("int", int(text), line, column)
-
-    def _scan_char(self, quote: str) -> str:
-        """Read one (possibly escaped) character inside a quoted token."""
-        ch = self._peek()
-        if not ch:
-            raise self._error("unterminated quoted token")
-        if ch == "\\":
-            self._advance()
-            esc = self._peek()
-            if esc == "x":
-                self._advance()
-                start = self.pos
-                while self._peek() in "0123456789abcdefABCDEF":
-                    self._advance()
-                code = int(self.text[start:self.pos], 16)
-                if self._peek() == "\\":
-                    self._advance()
-                return chr(code)
-            if esc in _ESCAPES:
-                self._advance()
-                return _ESCAPES[esc]
-            raise self._error(f"unknown escape \\{esc}")
-        if ch == quote and self._peek(1) == quote:
-            self._advance(2)
-            return quote
-        self._advance()
-        return ch
-
-    def _scan_quoted(self, quote: str) -> str:
-        assert self._peek() == quote
-        self._advance()
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise self._error("unterminated quoted token")
-            if ch == quote:
-                if self._peek(1) == quote:
-                    chars.append(self._scan_char(quote))
-                    continue
-                self._advance()
-                return "".join(chars)
-            chars.append(self._scan_char(quote))
-
-    def _scan_quoted_atom(self, line: int, column: int) -> Token:
-        name = self._scan_quoted("'")
-        return self._atom_token(name, line, column)
-
-    def _scan_string(self, line: int, column: int) -> Token:
-        text = self._scan_quoted('"')
-        return Token("string", text, line, column)
+def _error(text: str, offset: int, message: str) -> PrologSyntaxError:
+    line = text.count("\n", 0, offset) + 1
+    return PrologSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text`` into a list ending with an ``eof`` token."""
-    return Tokenizer(text).tokens()
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    pos = line_start = counted = 0
+    line = 1
+    while True:
+        found = match(text, pos)
+        start = found.end(1)
+        if start != counted:
+            newlines = text.count("\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", counted, start) + 1
+        column = start - line_start + 1
+        kind = found.lastindex
+        pos = counted = found.end()
+        if kind == 2:
+            append(Token("atom", found[2], line, column, text.startswith("(", pos)))
+        elif kind == 4:
+            append(Token("punct", found[4], line, column))
+        elif kind == 3:
+            append(Token("var", found[3], line, column))
+        elif kind == 7 or kind == 8:
+            append(Token("atom", found[kind], line, column, text.startswith("(", pos)))
+        elif kind == 5:
+            append(Token("end", ".", line, column))
+        elif kind == 14:
+            number = found[14]
+            if text.startswith(("e", "E"), pos):
+                _check_exponent(text, pos, number)
+            if number.isdecimal():
+                append(Token("int", _integer(text, start, number), line, column))
+            else:
+                append(Token("float", float(number), line, column))
+        elif kind == 15:
+            value = found[15]
+            if "''" in value:
+                value = value.replace("''", "'")
+            counted = start
+            append(Token("atom", value, line, column, text.startswith("(", pos)))
+        elif kind == 16:
+            value = found[16]
+            if '""' in value:
+                value = value.replace('""', '"')
+            counted = start
+            append(Token("string", value, line, column))
+        elif kind == 18:
+            append(Token("eof", "", line, column))
+            return tokens
+        elif kind in _RADIX:
+            append(Token("int", int(found[kind], _RADIX[kind]), line, column))
+        elif kind == 9:
+            char, pos = _scan_char(text, pos, "'")
+            counted = start
+            append(Token("int", ord(char), line, column))
+        elif kind == 17:
+            value, pos = _scan_quoted(text, pos, found[17])
+            counted = start
+            if found[17] == '"':
+                append(Token("string", value, line, column))
+            else:
+                append(Token("atom", value, line, column, text.startswith("(", pos)))
+        elif kind == 13:
+            raise _error(text, pos, "missing digits after radix prefix")
+        elif kind == 6:
+            raise _error(text, len(text), "unterminated block comment")
+        else:
+            pos = _scan_other(text, start, line, column, append)
+
+
+def _integer(text: str, start: int, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # longer than ``int``'s digit limit
+        raise _error(text, start, f"bad integer: {exc}") from None
+
+
+def _check_exponent(text: str, pos: int, number: str) -> None:
+    """``number`` ends at an ``e``/``E`` at ``pos``.  Unless it has an
+    exponent already, a digit that ``\\d`` does not match (``²``) may
+    not follow: the old scanner took that for an exponent."""
+    if "e" in number or "E" in number:
+        return
+    pos += 1 + text.startswith(("+", "-"), pos + 1)
+    if text[pos:pos + 1].isdigit():
+        raise _error(text, pos, f"unexpected character {text[pos]!r}")
+
+
+def _scan_other(text: str, start: int, line: int, column: int, append) -> int:
+    """A token starting with a character no ASCII alternative matched:
+    a name if it is a letter, else an error.  Returns its end."""
+    ch = text[start]
+    if not ch.isalpha():
+        raise _error(text, start, f"unexpected character {ch!r}")
+    end = _NAME.match(text, start).end()
+    if ch.isupper():
+        append(Token("var", text[start:end], line, column))
+    else:
+        append(Token("atom", text[start:end], line, column, text.startswith("(", end)))
+    return end
+
+
+def _scan_char(text: str, pos: int, quote: str) -> Tuple[str, int]:
+    """One (possibly escaped) character of a quoted token at ``pos``:
+    the character and the offset after it."""
+    ch = text[pos:pos + 1]
+    if not ch:
+        raise _error(text, pos, "unterminated quoted token")
+    if ch == "\\":
+        esc = text[pos + 1:pos + 2]
+        if esc == "x":
+            end = _HEX_DIGITS.match(text, pos + 2).end()
+            if end == len(text):
+                raise _error(text, end, "unterminated quoted token")
+            if end == pos + 2:
+                raise _error(text, end, "missing digits in \\x escape")
+            code = int(text[pos + 2:end], 16)
+            if code > 0x10FFFF:
+                raise _error(text, end, f"character code {code:#x} out of range")
+            return chr(code), end + text.startswith("\\", end)
+        if esc in _ESCAPES:
+            return _ESCAPES[esc], pos + 2
+        raise _error(text, pos + 1, f"unknown escape \\{esc}")
+    if ch == quote and text.startswith(quote, pos + 1):
+        return quote, pos + 2
+    return ch, pos + 1
+
+
+def _scan_quoted(text: str, pos: int, quote: str) -> Tuple[str, int]:
+    """The body of a quoted token whose opening quote ends at ``pos``:
+    its text and the offset after the closing quote."""
+    chars: List[str] = []
+    while not (text.startswith(quote, pos) and not text.startswith(quote, pos + 1)):
+        char, pos = _scan_char(text, pos, quote)
+        chars.append(char)
+    return "".join(chars), pos + 1

@@ -99,7 +99,6 @@ class Worker:
     instead is killed and raises :class:`WorkerCrashed`."""
 
     def __init__(self, config_wire: dict):
-        self.requests_handled = 0
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro.serve.worker"],
             stdin=subprocess.PIPE,
@@ -212,7 +211,6 @@ class Worker:
                     except Exception:
                         pass  # a bad observer must not break the protocol
                 continue
-            self.requests_handled += 1
             return response
 
     def kill(self) -> None:

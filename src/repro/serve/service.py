@@ -169,6 +169,11 @@ class AnalysisService:
         #: for a crash mid-fixpoint.
         self.kill_at_iteration: Optional[int] = None
 
+    def close(self) -> None:
+        """Close the disk store's journal file, if it keeps one open."""
+        if self.store.disk is not None:
+            self.store.disk.close()
+
     # ------------------------------------------------------------------
     # Request handling.
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import CompileError
 from ..prolog.terms import Indicator, format_indicator
-from .instructions import Instr, Label
+from .instructions import INDEXING_OPS, Instr, Label
 
 
 @dataclass
@@ -43,9 +43,17 @@ class CodeArea:
     # ------------------------------------------------------------------
 
     def link(self, units: List[PredicateCode]) -> None:
-        """Concatenate, resolve labels, and build the entry table."""
+        """Concatenate, resolve labels, and build the entry table.
+
+        Only :data:`~repro.wam.instructions.INDEXING_OPS` carry
+        :class:`Label` operands, so only those are rebuilt with
+        addresses; every other instruction is placed as the compiler
+        emitted it (instructions are immutable, so the code area and
+        the units share them).
+        """
         addresses: Dict[Tuple[Indicator, str], int] = {}
-        placed: List[Tuple[Indicator, Instr]] = []
+        placed: List[Instr] = []
+        labelled: List[Tuple[int, Indicator]] = []
         position = len(self.instructions)
         for unit in units:
             if unit.indicator in self.entry:
@@ -63,13 +71,13 @@ class CodeArea:
                         raise CompileError(f"duplicate label {label.name}")
                     addresses[key] = position
                 else:
-                    placed.append((unit.indicator, instruction))
+                    if instruction.op in INDEXING_OPS:
+                        labelled.append((len(placed), unit.indicator))
+                    placed.append(instruction)
                     position += 1
-        resolved = [
-            self._resolve(indicator, instruction, addresses)
-            for indicator, instruction in placed
-        ]
-        self.instructions.extend(resolved)
+        for index, indicator in labelled:
+            placed[index] = self._resolve(indicator, placed[index], addresses)
+        self.instructions.extend(placed)
         for unit in units:
             self.clause_entries[unit.indicator] = [
                 addresses[(unit.indicator, label.name)]

@@ -243,3 +243,17 @@ class TestDiagnostics:
         assert codes == {
             "W002", "W003", "W004", "W005", "E006", "W007", "I008", "W009",
         }
+
+
+@pytest.mark.parametrize(
+    "text,position", [("a('\\xg').\n", (1, 6)), ("x(²).\n", (1, 3))]
+)
+def test_e001_for_characters_int_rejects(tmp_path, text, position):
+    # A ``\x`` escape without digits and a digit ``int`` rejects once
+    # raised ValueError out of the tokenizer: a traceback, no E001.
+    path = tmp_path / "bad.pl"
+    path.write_text(text, encoding="utf-8")
+    report = lint_file(str(path), ["x(var)"])
+    (diagnostic,) = report.by_code("E001")
+    assert diagnostic.position == position
+    assert report.has_errors

@@ -8,6 +8,9 @@ fixpoint at all.
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -643,3 +646,38 @@ def test_hit_counts_a_damaged_scc_file_until_seeds_are_read(tmp_path):
     assert lint["ok"] and lint["cache"]["sccs_seeded"] == 1
     assert (directory / "quarantine" / damaged.name).read_text() == "{"
     assert json.loads(damaged.read_text())["value"]
+
+
+def test_close_releases_the_journal(tmp_path):
+    service = _service(store_dir=str(tmp_path / "cache"), journal=True)
+    service.handle({"op": "analyze", "text": NREV, "entries": [ENTRY]})
+    journal = service.store.disk._journal_handle
+    assert journal is not None and not journal.closed
+    service.close()
+    assert journal.closed and service.store.disk._journal_handle is None
+    service.close()  # a second close is harmless
+    _service().close()  # so is closing a service without a disk store
+
+
+def test_unterminated_hex_escape_is_answered(tmp_path):
+    # The scanner once looped forever on ``'\x`` at end of input, and
+    # the deadline limits only the fixpoint; the child process and its
+    # timeout turn a hang into a failure instead of a stuck suite.
+    requests = [
+        {"op": "analyze", "text": "p('\\x", "entries": ["p(var)"],
+         "budget": {"deadline": 1.0}},
+        {"op": "analyze", "text": "q(b).", "entries": ["q(var)"]},
+        {"op": "shutdown"},
+    ]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.serve"],
+        input="".join(json.dumps(r) + "\n" for r in requests),
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert completed.returncode == 0, completed.stderr
+    responses = [json.loads(line) for line in completed.stdout.splitlines()]
+    assert [r["ok"] for r in responses] == [False, True, True]
+    assert "unterminated quoted token" in responses[0]["error"]

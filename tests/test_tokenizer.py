@@ -1,5 +1,10 @@
 """Tests for the tokenizer."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import PrologSyntaxError
@@ -148,3 +153,93 @@ class TestFunctorFlag:
 
     def test_quoted_functor(self):
         assert tokenize("'f g'(x)")[0].functor is True
+
+
+def _error_in_child(text):
+    """Tokenize ``text`` in a child process and return the syntax
+    error's (message, line, column), or None.  A scanner that never
+    returns then fails the test on the timeout instead of hanging the
+    suite."""
+    script = (
+        "import json, sys\n"
+        "from repro.errors import PrologSyntaxError\n"
+        "from repro.prolog.tokenizer import tokenize\n"
+        "try:\n"
+        "    tokenize(sys.stdin.read())\n"
+        "    print('null')\n"
+        "except PrologSyntaxError as exc:\n"
+        "    print(json.dumps([str(exc), exc.line, exc.column]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", script], input=text, capture_output=True,
+        text=True, env=env, timeout=30, check=True,
+    )
+    found = json.loads(completed.stdout)
+    return None if found is None else tuple(found)
+
+
+class TestLexicalErrors:
+    """Inputs a character-at-a-time scanner hung or crashed on: each is
+    a syntax error with a position now."""
+
+    @pytest.mark.parametrize("text", ["p('\\x", "0'\\x41"])
+    def test_hex_escape_at_end_of_input_is_unterminated(self, text):
+        message, line, column = _error_in_child(text)
+        assert message.startswith("unterminated quoted token")
+        assert (line, column) == (1, len(text) + 1)
+
+    def test_hex_escape_without_digits(self):
+        with pytest.raises(PrologSyntaxError) as info:
+            tokenize("a('\\xg').")
+        assert (info.value.line, info.value.column) == (1, 6)
+
+    def test_hex_escape_beyond_unicode(self):
+        with pytest.raises(PrologSyntaxError) as info:
+            tokenize("a('\\x110000\\').")
+        assert (info.value.line, info.value.column) == (1, 12)
+
+    @pytest.mark.parametrize(
+        "text,column", [("x(²).", 3), ("X = 1².", 6), ("X = 1e².", 7),
+                        ("X = 1.5E-①.", 10)],
+    )
+    def test_digit_int_rejects_is_a_syntax_error(self, text, column):
+        # ``str.isdigit`` holds for superscripts and circled digits;
+        # ``int`` and ``float`` reject them.
+        with pytest.raises(PrologSyntaxError) as info:
+            tokenize(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_decimal_digits_outside_ascii_still_read_as_numbers(self):
+        assert values("٣٤ 1.٥ a² été Été") == [
+            34, 1.5, "a²", "été", "Été"
+        ]
+        assert kinds("été Été") == ["atom", "var", "eof"]
+
+    def test_integer_beyond_the_int_digit_limit(self):
+        with pytest.raises(PrologSyntaxError):
+            tokenize("X = " + "9" * 5000 + ".")
+
+
+class TestPositionsAfterNumbers:
+    def test_e_that_is_not_an_exponent_keeps_columns(self):
+        tokens = tokenize("X is 2ex, Y = a.")
+        assert [(t.value, t.column) for t in tokens[:-1]] == [
+            ("X", 1), ("is", 3), (2, 6), ("ex", 7), (",", 9), ("Y", 11),
+            ("=", 13), ("a", 15), (".", 16),
+        ]
+
+    def test_signed_e_that_is_not_an_exponent_keeps_columns(self):
+        tokens = tokenize("X is 2e+x, 3E-.")
+        assert [(t.value, t.column) for t in tokens[:-1]] == [
+            ("X", 1), ("is", 3), (2, 6), ("e", 7), ("+", 8), ("x", 9),
+            (",", 10), (3, 12), ("E", 13), ("-.", 14),
+        ]
+
+    def test_newlines_inside_quoted_tokens_move_lines(self):
+        tokens = tokenize("'a\nb' \"c\n\nd\" 0'\n x")
+        assert [(t.line, t.column) for t in tokens] == [
+            (1, 1), (2, 4), (4, 4), (5, 2), (5, 3),
+        ]
