@@ -136,8 +136,6 @@ def tokenize(text: str) -> List[Token]:
             append(Token("end", ".", line, column))
         elif kind == 14:
             number = found[14]
-            if text.startswith(("e", "E"), pos):
-                _check_exponent(text, pos, number)
             if number.isdecimal():
                 append(Token("int", _integer(text, start, number), line, column))
             else:
@@ -185,17 +183,6 @@ def _integer(text: str, start: int, digits: str) -> int:
         raise _error(text, start, f"bad integer: {exc}") from None
 
 
-def _check_exponent(text: str, pos: int, number: str) -> None:
-    """``number`` ends at an ``e``/``E`` at ``pos``.  Unless it has an
-    exponent already, a digit that ``\\d`` does not match (``²``) may
-    not follow: the old scanner took that for an exponent."""
-    if "e" in number or "E" in number:
-        return
-    pos += 1 + text.startswith(("+", "-"), pos + 1)
-    if text[pos:pos + 1].isdigit():
-        raise _error(text, pos, f"unexpected character {text[pos]!r}")
-
-
 def _scan_other(text: str, start: int, line: int, column: int, append) -> int:
     """A token starting with a character no ASCII alternative matched:
     a name if it is a letter, else an error.  Returns its end."""
@@ -240,7 +227,8 @@ def _scan_quoted(text: str, pos: int, quote: str) -> Tuple[str, int]:
     """The body of a quoted token whose opening quote ends at ``pos``:
     its text and the offset after the closing quote."""
     chars: List[str] = []
-    while not (text.startswith(quote, pos) and not text.startswith(quote, pos + 1)):
+    while True:
+        if text.startswith(quote, pos) and not text.startswith(quote, pos + 1):
+            return "".join(chars), pos + 1
         char, pos = _scan_char(text, pos, quote)
         chars.append(char)
-    return "".join(chars), pos + 1

@@ -202,8 +202,7 @@ class TestLexicalErrors:
         assert (info.value.line, info.value.column) == (1, 12)
 
     @pytest.mark.parametrize(
-        "text,column", [("x(²).", 3), ("X = 1².", 6), ("X = 1e².", 7),
-                        ("X = 1.5E-①.", 10)],
+        "text,column", [("x(²).", 3), ("X = 1².", 6), ("X = 1.5E-①.", 10)],
     )
     def test_digit_int_rejects_is_a_syntax_error(self, text, column):
         # ``str.isdigit`` holds for superscripts and circled digits;
@@ -213,8 +212,8 @@ class TestLexicalErrors:
         assert (info.value.line, info.value.column) == (1, column)
 
     def test_decimal_digits_outside_ascii_still_read_as_numbers(self):
-        assert values("٣٤ 1.٥ a² été Été") == [
-            34, 1.5, "a²", "été", "Été"
+        assert values("٣٤ 1.٥ a² été Été 1e²") == [
+            34, 1.5, "a²", "été", "Été", 1, "e²"
         ]
         assert kinds("été Été") == ["atom", "var", "eof"]
 
