@@ -111,6 +111,9 @@ def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
     append = tokens.append
     match = _TOKEN.match
+    # ``line`` counts the newlines before offset ``counted``; a quoted
+    # token rewinds it to the token's start, so the next token counts
+    # the newlines inside it.
     pos = line_start = counted = 0
     line = 1
     while True:
@@ -173,7 +176,8 @@ def tokenize(text: str) -> List[Token]:
         elif kind == 6:
             raise _error(text, len(text), "unterminated block comment")
         else:
-            pos = _scan_other(text, start, line, column, append)
+            token, pos = _scan_other(text, start, line, column)
+            append(token)
 
 
 def _integer(text: str, start: int, digits: str) -> int:
@@ -183,18 +187,16 @@ def _integer(text: str, start: int, digits: str) -> int:
         raise _error(text, start, f"bad integer: {exc}") from None
 
 
-def _scan_other(text: str, start: int, line: int, column: int, append) -> int:
-    """A token starting with a character no ASCII alternative matched:
-    a name if it is a letter, else an error.  Returns its end."""
+def _scan_other(text: str, start: int, line: int, column: int) -> Tuple[Token, int]:
+    """A token starting with a character no ASCII alternative matched,
+    and its end: a name if the character is a letter, else an error."""
     ch = text[start]
     if not ch.isalpha():
         raise _error(text, start, f"unexpected character {ch!r}")
     end = _NAME.match(text, start).end()
     if ch.isupper():
-        append(Token("var", text[start:end], line, column))
-    else:
-        append(Token("atom", text[start:end], line, column, text.startswith("(", end)))
-    return end
+        return Token("var", text[start:end], line, column), end
+    return Token("atom", text[start:end], line, column, text.startswith("(", end)), end
 
 
 def _scan_char(text: str, pos: int, quote: str) -> Tuple[str, int]:

@@ -220,6 +220,7 @@ def worker_loop(stdin, stdout) -> int:
         stdout.flush()
         if response.get("shutdown"):
             break
+    service.close()
     return 0
 
 
