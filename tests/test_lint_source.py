@@ -249,8 +249,8 @@ class TestDiagnostics:
     "text,position", [("a('\\xg').\n", (1, 6)), ("x(²).\n", (1, 3))]
 )
 def test_e001_for_characters_int_rejects(tmp_path, text, position):
-    # A ``\x`` escape without digits and a digit ``int`` rejects once
-    # raised ValueError out of the tokenizer: a traceback, no E001.
+    # ``int`` rejects both (an empty ``\x`` escape, a superscript
+    # digit); the clause must still be diagnosed, not end the lint run.
     path = tmp_path / "bad.pl"
     path.write_text(text, encoding="utf-8")
     report = lint_file(str(path), ["x(var)"])

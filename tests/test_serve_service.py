@@ -660,9 +660,9 @@ def test_close_releases_the_journal(tmp_path):
 
 
 def test_unterminated_hex_escape_is_answered(tmp_path):
-    # The scanner once looped forever on ``'\x`` at end of input, and
-    # the deadline limits only the fixpoint; the child process and its
-    # timeout turn a hang into a failure instead of a stuck suite.
+    # The deadline limits only the fixpoint, so a tokenizer that never
+    # returned would wedge the in-process server; the child process and
+    # its timeout turn such a hang into a failure, not a stuck suite.
     requests = [
         {"op": "analyze", "text": "p('\\x", "entries": ["p(var)"],
          "budget": {"deadline": 1.0}},

@@ -182,8 +182,8 @@ def _error_in_child(text):
 
 
 class TestLexicalErrors:
-    """Inputs a character-at-a-time scanner hung or crashed on: each is
-    a syntax error with a position now."""
+    """Malformed escapes and numbers are syntax errors with a position,
+    never a hang or a ``ValueError``."""
 
     @pytest.mark.parametrize("text", ["p('\\x", "0'\\x41"])
     def test_hex_escape_at_end_of_input_is_unterminated(self, text):
