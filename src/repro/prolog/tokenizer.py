@@ -102,6 +102,7 @@ _HEX_DIGITS = re.compile(r"[0-9a-fA-F]*")
 
 
 def _error(text: str, offset: int, message: str) -> PrologSyntaxError:
+    """A syntax error at character ``offset`` of ``text``."""
     line = text.count("\n", 0, offset) + 1
     return PrologSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
