@@ -22,8 +22,8 @@ Scanning works the way CPython's own ``tokenize`` module does: one
 compiled alternation (:data:`_TOKEN`) is matched at the current offset,
 and the group that matched says what the token is.  Line and column
 come from the match offsets, counting the newlines inside layout and
-quoted tokens.  Quoted tokens with escapes and ``0'c`` character codes
-take a small procedural path (:func:`_scan_char`).
+quoted tokens.  Quoted tokens and ``0'c`` character codes take a small
+procedural path (:func:`_scan_quoted`, :func:`_scan_char`).
 """
 
 from __future__ import annotations
@@ -73,9 +73,7 @@ _ESCAPES = {
 #: order: the end dot and an unterminated ``/*`` before symbol atoms,
 #: ``0'`` and radix forms before decimals.  ``\d`` is ``str.isdecimal``
 #: and ``\w`` is ``str.isalnum`` or ``_``; a letter outside ASCII takes
-#: the last alternative and is classified there.  A quoted token with
-#: no escape matches whole; a closing quote is one not followed by
-#: another, so ``''`` stays a doubled quote as in :func:`_scan_quoted`.
+#: the last alternative and is classified there.
 _TOKEN = re.compile(
     r"((?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*)"
     r"(?:([a-z]\w*)"                                  # 2 name atom
@@ -89,11 +87,9 @@ _TOKEN = re.compile(
     r"|0x([0-9a-fA-F]+)|0o([0-7]+)|0b([01]+)"         # 10-12 radix
     r"|(0[xob])"                                      # 13 radix, no digits
     r"|(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"              # 14 decimal number
-    r"|'([^'\\]*(?:''[^'\\]*)*)'(?!')"                # 15 quoted atom
-    r"|\"([^\"\\]*(?:\"\"[^\"\\]*)*)\"(?!\")"         # 16 string
-    r"|(['\"])"                                       # 17 quoted, escaped
-    r"|(\Z)"                                          # 18 end of input
-    r"|(.))",                                         # 19 anything else
+    r"|(['\"])"                                       # 15 quoted atom, string
+    r"|(\Z)"                                          # 16 end of input
+    r"|(.))",                                         # 17 anything else
     re.S,
 )
 _RADIX = {10: 16, 11: 8, 12: 2}
@@ -144,19 +140,7 @@ def tokenize(text: str) -> List[Token]:
                 append(Token("int", _integer(text, start, number), line, column))
             else:
                 append(Token("float", float(number), line, column))
-        elif kind == 15:
-            value = found[15]
-            if "''" in value:
-                value = value.replace("''", "'")
-            counted = start
-            append(Token("atom", value, line, column, text.startswith("(", pos)))
         elif kind == 16:
-            value = found[16]
-            if '""' in value:
-                value = value.replace('""', '"')
-            counted = start
-            append(Token("string", value, line, column))
-        elif kind == 18:
             append(Token("eof", "", line, column))
             return tokens
         elif kind in _RADIX:
@@ -165,10 +149,10 @@ def tokenize(text: str) -> List[Token]:
             char, pos = _scan_char(text, pos, "'")
             counted = start
             append(Token("int", ord(char), line, column))
-        elif kind == 17:
-            value, pos = _scan_quoted(text, pos, found[17])
+        elif kind == 15:
+            value, pos = _scan_quoted(text, pos, found[15])
             counted = start
-            if found[17] == '"':
+            if found[15] == '"':
                 append(Token("string", value, line, column))
             else:
                 append(Token("atom", value, line, column, text.startswith("(", pos)))
