@@ -150,6 +150,11 @@ def parse_entry_spec(spec: Union[str, Term, EntrySpec]) -> EntrySpec:
     return EntrySpec(indicator, canonicalize(Pattern(nodes)))
 
 
+#: Fixpoint passes a run without a budget may take before it trips, for
+#: the compiled analyzer and the three baselines alike.
+MAX_ITERATIONS = 100
+
+
 #: A known summary to plant before the first pass:
 #: (indicator, calling, success, may_share).
 Seed = Tuple[Indicator, Pattern, Optional[Pattern], FrozenSet[Tuple[int, int]]]
@@ -228,79 +233,67 @@ class EntryReport:
 def record_metrics(
     metrics,
     table: ExtensionTable,
-    *,
-    machine: Optional[AbstractMachine] = None,
-    report: Optional[EntryReport] = None,
-    seconds: float = 0.0,
-    since: Optional[Dict[str, int]] = None,
-) -> Dict[str, int]:
+    machine: AbstractMachine,
+    report: EntryReport,
+    seconds: float,
+) -> None:
     """Report the analysis core's plain counters as catalogued metrics.
 
     The machine and the table only count; this is the one place that
     turns their counters into the names of docs/observability.md.  The
-    driver calls it once per entry spec with the spec's ``machine``,
-    its ``report`` and its wall time.  ``table`` counters are reported
-    net of ``since``, the value an earlier call returned for the same
-    table, so a table that outlives one run (the meta baseline's) ships
-    only what each run added.  Returns the ``since`` for the next call.
+    driver calls it once per entry spec with the spec's table,
+    ``machine``, ``report`` and wall time.
     """
-    counts = {
-        "table.lookups": table.lookups,
-        "table.hits": table.hits,
-        "table.misses": table.lookups - table.hits,
-        "table.updates": table.updates,
-        "table.widenings": table.widenings,
-        "table.entries.created": table.created,
-    }
-    base = since or {}
-    for name, value in counts.items():
-        metrics.counter(name).inc(value - base.get(name, 0))
-    if machine is not None:
-        from ..obs.metrics import opcode_class
+    from ..obs.metrics import opcode_class
 
-        # Splits from the per-address counts: an address belongs to the
-        # predicate whose code region holds it.  The shared service
-        # proceed belongs to none, so its runs are charged to the frames
-        # that ran it; a sweep's top-level runs are calls too.
-        code = machine.code
-        by_op: Dict[str, int] = {}
-        by_pred: Dict[Indicator, int] = dict(machine.service_proceeds)
-        calls: Dict[Indicator, int] = dict(machine.top_runs)
-        owner = None
-        for address, count in enumerate(machine.address_counts):
-            owner = code.owners.get(address, owner)
-            if not count:
-                continue
-            instruction = code.instructions[address]
-            by_op[instruction.op] = by_op.get(instruction.op, 0) + count
-            if owner is not None:
-                by_pred[owner] = by_pred.get(owner, 0) + count
-            if instruction.op in ("call", "execute"):
-                target = instruction.args[0]
-                calls[target] = calls.get(target, 0) + count
-        if machine.instruction_count:
-            metrics.counter("wam.instructions").inc(machine.instruction_count)
-        for op, count in by_op.items():
-            metrics.counter("wam.instructions.op", op=op).inc(count)
-            metrics.counter(
-                "wam.instructions.class", **{"class": opcode_class(op)}
-            ).inc(count)
-        for name, values in (
-            ("analysis.predicate.instructions", by_pred),
-            ("analysis.predicate.calls", calls),
-        ):
-            for indicator, count in values.items():
-                if count:
-                    metrics.counter(
-                        name, pred=format_indicator(indicator)
-                    ).inc(count)
-        metrics.counter("analysis.unify.calls").inc(machine.unify_calls)
-        metrics.gauge("analysis.frames.peak").set_max(machine.frames_peak)
-        metrics.gauge("wam.trail.peak").set_max(machine.heap.trail_peak)
-        metrics.counter("analysis.iterations").inc(report.iterations)
-        metrics.counter("analysis.specs", status=report.status).inc()
-        metrics.histogram("analysis.entry.seconds").observe(seconds)
-    return counts
+    metrics.counter("table.lookups").inc(table.lookups)
+    metrics.counter("table.hits").inc(table.hits)
+    metrics.counter("table.misses").inc(table.lookups - table.hits)
+    metrics.counter("table.updates").inc(table.updates)
+    metrics.counter("table.widenings").inc(table.widenings)
+    metrics.counter("table.entries.created").inc(table.created)
+    # Splits from the per-address counts: an address belongs to the
+    # predicate whose code region holds it.  The shared service proceed
+    # belongs to none, so its runs are charged to the frames that ran
+    # it; a sweep's top-level runs are calls too.
+    code = machine.code
+    by_op: Dict[str, int] = {}
+    by_pred: Dict[Indicator, int] = dict(machine.service_proceeds)
+    calls: Dict[Indicator, int] = dict(machine.top_runs)
+    owner = None
+    for address, count in enumerate(machine.address_counts):
+        owner = code.owners.get(address, owner)
+        if not count:
+            continue
+        instruction = code.instructions[address]
+        by_op[instruction.op] = by_op.get(instruction.op, 0) + count
+        if owner is not None:
+            by_pred[owner] = by_pred.get(owner, 0) + count
+        if instruction.op in ("call", "execute"):
+            target = instruction.args[0]
+            calls[target] = calls.get(target, 0) + count
+    if machine.instruction_count:
+        metrics.counter("wam.instructions").inc(machine.instruction_count)
+    for op, count in by_op.items():
+        metrics.counter("wam.instructions.op", op=op).inc(count)
+        metrics.counter(
+            "wam.instructions.class", **{"class": opcode_class(op)}
+        ).inc(count)
+    for name, values in (
+        ("analysis.predicate.instructions", by_pred),
+        ("analysis.predicate.calls", calls),
+    ):
+        for indicator, count in values.items():
+            if count:
+                metrics.counter(
+                    name, pred=format_indicator(indicator)
+                ).inc(count)
+    metrics.counter("analysis.unify.calls").inc(machine.unify_calls)
+    metrics.gauge("analysis.frames.peak").set_max(machine.frames_peak)
+    metrics.gauge("wam.trail.peak").set_max(machine.heap.trail_peak)
+    metrics.counter("analysis.iterations").inc(report.iterations)
+    metrics.counter("analysis.specs", status=report.status).inc()
+    metrics.histogram("analysis.entry.seconds").observe(seconds)
 
 
 class Analyzer:
@@ -332,7 +325,6 @@ class Analyzer:
         program: Union[Program, str, CompiledProgram],
         options: Optional[CompilerOptions] = None,
         depth: int = DEFAULT_DEPTH,
-        max_iterations: int = 100,
         list_aware: bool = True,
         subsumption: bool = False,
         on_undefined: str = "error",
@@ -354,7 +346,6 @@ class Analyzer:
         else:
             self.compiled = compile_program(program, options)
         self.depth = depth
-        self.max_iterations = max_iterations
         self.list_aware = list_aware
         self.subsumption = subsumption
         self.on_undefined = on_undefined
@@ -412,9 +403,7 @@ class Analyzer:
             raise AnalysisError("at least one entry spec is required")
         budget = self.budget
         if budget is None:
-            # Preserve the historical max_iterations contract through the
-            # same governance path as an explicit budget.
-            budget = Budget(max_iterations=self.max_iterations)
+            budget = Budget(max_iterations=MAX_ITERATIONS)
         budget.start()
         plan = self.fault_plan
         table = ExtensionTable()  # the merged, ungoverned result table
@@ -513,8 +502,8 @@ class Analyzer:
             finally:
                 if metrics is not None:
                     record_metrics(
-                        metrics, spec_table, machine=machine, report=report,
-                        seconds=time.perf_counter() - spec_started,
+                        metrics, spec_table, machine, report,
+                        time.perf_counter() - spec_started,
                     )
             table.merge(spec_table)
             iterations += report.iterations

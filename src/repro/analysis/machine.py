@@ -110,14 +110,13 @@ class AbstractMachine(Machine):
         compiled: CompiledProgram,
         table: Optional[ExtensionTable] = None,
         depth: int = DEFAULT_DEPTH,
-        max_steps: int = 50_000_000,
         list_aware: bool = True,
         subsumption: bool = False,
         on_undefined: str = "error",
         budget=None,
         fault_plan=None,
     ):
-        super().__init__(compiled, max_steps=max_steps)
+        super().__init__(compiled)
         self.table = table if table is not None else ExtensionTable()
         #: Plain counters the driver reports as metrics once the spec is
         #: done (record_metrics): abstract unifications, the exploration

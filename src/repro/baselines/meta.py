@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.driver import EntrySpec, parse_entry_spec, record_metrics
+from ..analysis.driver import MAX_ITERATIONS, EntrySpec, parse_entry_spec
 from ..analysis.patterns import Pattern
 from ..analysis.table import ExtensionTable
 from ..domain.concrete import DEFAULT_DEPTH
@@ -64,11 +64,12 @@ class MetaResult:
 class MetaAnalyzer:
     """Source-level abstract interpreter with an extension table.
 
-    Accepts the same governance knobs as the compiled analyzer: a shared
+    Accepts the compiled analyzer's budget knobs: a shared
     :class:`~repro.robust.Budget` (one abstract *step* is charged per
     interpreted goal — the closest baseline equivalent of an abstract
-    WAM instruction), an optional fault plan (wired to the extension
-    table), and ``on_budget`` selecting raise-vs-degrade.  In degrade
+    WAM instruction) and ``on_budget`` selecting raise-vs-degrade.
+    Without a budget a run stops after
+    :data:`~repro.analysis.driver.MAX_ITERATIONS` passes.  In degrade
     mode an interrupted run returns a :class:`MetaResult` whose table
     was widened to ⊤ and whose ``status`` is ``"degraded"``; in raise
     mode the same widened result rides on the exception's
@@ -79,11 +80,8 @@ class MetaAnalyzer:
         self,
         program: Union[Program, str],
         depth: int = DEFAULT_DEPTH,
-        max_iterations: int = 100,
         budget: Optional[Budget] = None,
-        fault_plan=None,
         on_budget: str = "raise",
-        metrics=None,
     ):
         if on_budget not in ("raise", "degrade"):
             raise ValueError(
@@ -93,16 +91,9 @@ class MetaAnalyzer:
             program = Program.from_text(program)
         self.program = normalize_program(program)
         self.depth = depth
-        self.max_iterations = max_iterations
         self.budget = budget
-        self.fault_plan = fault_plan
         self.on_budget = on_budget
-        #: repro.obs: optional MetricsRegistry; each analyze() records
-        #: its cost counters under baseline.*{impl=meta} so instruction
-        #: -mix comparisons against the compiled path line up, plus its
-        #: table's table.* counters.
-        self.metrics = metrics
-        self.table = ExtensionTable(budget=budget, fault_plan=fault_plan)
+        self.table = ExtensionTable(budget=budget)
         self.iteration = 0
         self.goals_interpreted = 0
         self.store_copies = 0
@@ -120,7 +111,7 @@ class MetaAnalyzer:
             raise AnalysisError("at least one entry spec is required")
         budget = self.budget
         if budget is None:
-            budget = Budget(max_iterations=self.max_iterations)
+            budget = Budget(max_iterations=MAX_ITERATIONS)
         self._budget = budget.start()
         started = time.perf_counter()
         iterations = 0
@@ -155,26 +146,6 @@ class MetaAnalyzer:
     def _result(
         self, iterations: int, started: float, status: str
     ) -> MetaResult:
-        if self.metrics is not None:
-            # The instance and table counters are cumulative across
-            # analyze() calls; ship only what this run added.
-            goals, copies, table_counts = getattr(
-                self, "_flushed", (0, 0, None)
-            )
-            self.metrics.counter(
-                "baseline.iterations", impl="meta"
-            ).inc(iterations)
-            self.metrics.counter(
-                "baseline.goals", impl="meta"
-            ).inc(self.goals_interpreted - goals)
-            self.metrics.counter(
-                "baseline.store_copies", impl="meta"
-            ).inc(self.store_copies - copies)
-            self._flushed = (
-                self.goals_interpreted,
-                self.store_copies,
-                record_metrics(self.metrics, self.table, since=table_counts),
-            )
         return MetaResult(
             table=self.table,
             iterations=iterations,

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.driver import EntrySpec, parse_entry_spec
+from ..analysis.driver import MAX_ITERATIONS, EntrySpec, parse_entry_spec
 from ..analysis.patterns import Pattern, canonicalize, pattern_lub
 from ..analysis.table import ExtensionTable
 from ..domain.concrete import DEFAULT_DEPTH
@@ -441,9 +441,9 @@ class PrologBaselineResult:
 class _EtState:
     """Python side of the extension table (the assert-database stand-in)."""
 
-    def __init__(self, depth: int, budget=None, fault_plan=None):
+    def __init__(self, depth: int, budget=None):
         self.depth = depth
-        self.table = ExtensionTable(budget=budget, fault_plan=fault_plan)
+        self.table = ExtensionTable(budget=budget)
         self.iteration = 0
         self.marks: Dict[Tuple[Indicator, Pattern], int] = {}
 
@@ -528,11 +528,8 @@ class PrologAnalyzer:
         self,
         program: Union[Program, str],
         depth: int = DEFAULT_DEPTH,
-        max_iterations: int = 100,
         budget: Optional[Budget] = None,
-        fault_plan=None,
         on_budget: str = "raise",
-        metrics=None,
     ):
         if on_budget not in ("raise", "degrade"):
             raise ValueError(
@@ -540,17 +537,9 @@ class PrologAnalyzer:
             )
         if isinstance(program, str):
             program = Program.from_text(program)
-        #: repro.obs: optional MetricsRegistry; each analyze() records
-        #: its iteration and resolution-step counts under
-        #: baseline.*{impl=...} (impl is "prolog" here, "transform" in
-        #: the subclass) for instruction-mix comparisons.
-        self.metrics = metrics
-        self.impl_label = "prolog"
         self.analyzed = normalize_program(program)
         self.depth = depth
-        self.max_iterations = max_iterations
         self.budget = budget
-        self.fault_plan = fault_plan
         self.on_budget = on_budget
         self.analyzer_program = normalize_program(
             Program.from_text(ANALYZER_SOURCE)
@@ -693,9 +682,9 @@ class PrologAnalyzer:
             raise AnalysisError("at least one entry spec is required")
         budget = self.budget
         if budget is None:
-            budget = Budget(max_iterations=self.max_iterations)
+            budget = Budget(max_iterations=MAX_ITERATIONS)
         budget.start()
-        state = _EtState(self.depth, budget=self.budget, fault_plan=self.fault_plan)
+        state = _EtState(self.depth, budget=self.budget)
         total_steps = 0
         started = time.perf_counter()
         iterations = 0
@@ -724,7 +713,6 @@ class PrologAnalyzer:
             # under-approximate, so widen it to ⊤ before handing it out.
             status = STATUS_DEGRADED
             state.table.widen_to_top(status)
-            self._record_metrics(iterations, total_steps)
             result = PrologBaselineResult(
                 table=state.table,
                 iterations=iterations,
@@ -737,7 +725,6 @@ class PrologAnalyzer:
                 raise
             return result
         elapsed = time.perf_counter() - started
-        self._record_metrics(iterations, total_steps)
         return PrologBaselineResult(
             table=state.table,
             iterations=iterations,
@@ -745,13 +732,3 @@ class PrologAnalyzer:
             resolution_steps=total_steps,
             status=status,
         )
-
-    def _record_metrics(self, iterations: int, steps: int) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.counter(
-            "baseline.iterations", impl=self.impl_label
-        ).inc(iterations)
-        self.metrics.counter(
-            "baseline.resolution_steps", impl=self.impl_label
-        ).inc(steps)

@@ -246,18 +246,12 @@ class TransformAnalyzer(PrologAnalyzer):
         self,
         program: Union[Program, str],
         depth: int = DEFAULT_DEPTH,
-        max_iterations: int = 100,
         budget=None,
-        fault_plan=None,
         on_budget: str = "raise",
-        metrics=None,
     ):
         super().__init__(
-            program, depth=depth, max_iterations=max_iterations,
-            budget=budget, fault_plan=fault_plan, on_budget=on_budget,
-            metrics=metrics,
+            program, depth=depth, budget=budget, on_budget=on_budget
         )
-        self.impl_label = "transform"
         transformed = transform_program(self.analyzed)
         support = normalize_program(Program.from_text(SUPPORT_SOURCE))
         merged = Program(transformed.operators)

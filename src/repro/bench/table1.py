@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..analysis.driver import Analyzer
 from ..prolog.program import Program
-from ..wam.compile import CompilerOptions, compile_program
+from ..wam.compile import compile_program
 from .paper_data import TABLE1_BY_NAME, TABLE1_AVERAGE_SPEEDUP
 from .profile import BenchmarkProfile, profile_program
 from .programs import BENCHMARKS, Benchmark, get_benchmark
@@ -74,16 +74,13 @@ def measure_benchmark(
     benchmark: Benchmark,
     repeats: int = 3,
     baseline: str = "prolog",
-    options: Optional[CompilerOptions] = None,
 ) -> Table1Row:
     """Measure one Table 1 row."""
     program = Program.from_text(benchmark.source)
     compile_times = []
     for _ in range(max(repeats, 1)):
         started = time.perf_counter()
-        compiled = compile_program(
-            Program.from_text(benchmark.source), options
-        )
+        compiled = compile_program(Program.from_text(benchmark.source))
         compile_times.append(time.perf_counter() - started)
     analyzer = Analyzer(compiled)
     ours_times = []
@@ -116,7 +113,6 @@ def run_table1(
     names: Optional[Sequence[str]] = None,
     repeats: int = 3,
     baseline: str = "prolog",
-    options: Optional[CompilerOptions] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[Table1Row]:
     benchmarks = (
@@ -127,9 +123,7 @@ def run_table1(
         if progress is not None:
             progress(benchmark.name)
         rows.append(
-            measure_benchmark(
-                benchmark, repeats=repeats, baseline=baseline, options=options
-            )
+            measure_benchmark(benchmark, repeats=repeats, baseline=baseline)
         )
     return rows
 

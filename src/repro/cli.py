@@ -54,7 +54,7 @@ import json
 import sys
 from typing import Callable, Optional, Sequence
 
-from .analysis.driver import Analyzer
+from .analysis.driver import MAX_ITERATIONS, Analyzer
 from .errors import ReproError
 from .prolog.library import with_library
 from .prolog.parser import parse_term
@@ -103,8 +103,8 @@ def _add_budget_arguments(
     )
     if analysis:
         parser.add_argument(
-            "--max-iterations", type=int, default=100, metavar="N",
-            help="fixpoint iteration limit (default 100)",
+            "--max-iterations", type=int, default=MAX_ITERATIONS, metavar="N",
+            help=f"fixpoint iteration limit (default {MAX_ITERATIONS})",
         )
         parser.add_argument(
             "--table-limit", type=int, default=None, metavar="N",
@@ -125,7 +125,7 @@ def _budget_from(arguments: argparse.Namespace) -> Optional[Budget]:
         arguments.max_steps is None
         and arguments.deadline is None
         and table_limit is None
-        and (max_iterations is None or max_iterations == 100)
+        and max_iterations in (None, MAX_ITERATIONS)
     ):
         return None
     return Budget(
@@ -186,7 +186,6 @@ def _build_analyzer(arguments: argparse.Namespace, program: Program) -> Analyzer
         program,
         options=options,
         depth=arguments.depth,
-        max_iterations=arguments.max_iterations,
         subsumption=arguments.subsumption,
         on_undefined=arguments.on_undefined,
         budget=_budget_from(arguments),

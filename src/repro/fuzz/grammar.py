@@ -50,24 +50,25 @@ _ARITH_OPS = ("+", "-", "*")
 
 Role = Tuple[str, str]  # ("in" | "out" | "enum", "int" | "term" | "list")
 
+#: Helper predicates below ``main`` (the actual count is random ≤ this).
+MAX_HELPERS = 5
+#: Clauses per free-form rule predicate, and goals per rule body.
+MAX_CLAUSES = 3
+MAX_BODY_GOALS = 3
+#: Shape of generated ground values.
+MAX_TERM_DEPTH = 2
+MAX_LIST_LENGTH = 5
+MAX_INT = 9
+#: Queries per program, the one on ``main`` included.
+QUERIES_PER_PROGRAM = 3
+
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Size budget and feature switches for one generated program."""
+    """Size budget for one generated program."""
 
     #: hard cap on total clauses (the size budget).
     size_budget: int = 30
-    #: helper predicates below ``main`` (actual count is random ≤ this).
-    max_helpers: int = 5
-    max_clauses: int = 3
-    max_body_goals: int = 3
-    max_term_depth: int = 2
-    max_list_length: int = 5
-    max_int: int = 9
-    recursion: bool = True
-    arithmetic: bool = True
-    cut: bool = True
-    queries_per_program: int = 3
 
 
 @dataclass(frozen=True)
@@ -130,15 +131,15 @@ class ProgramGenerator:
         return Var(f"{prefix}{self._var_counter}")
 
     def _ground_int(self) -> Int:
-        return Int(self.rng.randint(0, self.config.max_int))
+        return Int(self.rng.randint(0, MAX_INT))
 
     def _ground_list(self) -> Term:
-        length = self.rng.randint(0, self.config.max_list_length)
+        length = self.rng.randint(0, MAX_LIST_LENGTH)
         return make_list([self._ground_int() for _ in range(length)])
 
     def _ground_term(self, depth: Optional[int] = None) -> Term:
         if depth is None:
-            depth = self.config.max_term_depth
+            depth = MAX_TERM_DEPTH
         choice = self.rng.randrange(6)
         if choice == 0:
             return self._ground_int()
@@ -178,7 +179,7 @@ class ProgramGenerator:
         )
         step = Struct(op, (acc, head_var if use_element else Int(1)))
         base = (Struct(name, (Atom("[]"), acc, acc)), ())
-        guarded = self.config.cut and self.rng.random() < 0.4
+        guarded = self.rng.random() < 0.4
         recursive_clauses = []
         if guarded:
             guard = Struct(
@@ -219,7 +220,7 @@ class ProgramGenerator:
         head_var, tail, out_head, out_tail = (
             Var("H"), Var("T"), Var("H2"), Var("R"),
         )
-        filtering = self.config.cut and self.rng.random() < 0.4
+        filtering = self.rng.random() < 0.4
         base = (Struct(name, (Atom("[]"), Atom("[]"))), ())
         if filtering:
             guard = Struct(
@@ -380,7 +381,7 @@ class ProgramGenerator:
     def _rule_predicate(self, name: str) -> PredSig:
         roles = self._roles_for_rule()
         sig = PredSig(name, roles, "rule")
-        for _ in range(self.rng.randint(1, self.config.max_clauses)):
+        for _ in range(self.rng.randint(1, MAX_CLAUSES)):
             self._rule_clause(sig)
         self._feat("template.rule")
         return sig
@@ -420,12 +421,11 @@ class ProgramGenerator:
         head = Struct(sig.name, tuple(head_args))
 
         body: List[Term] = []
-        for _ in range(self.rng.randint(0, self.config.max_body_goals)):
+        for _ in range(self.rng.randint(0, MAX_BODY_GOALS)):
             body.extend(self._body_goal(bound, unbound_outs))
         # Close the contract: ground every remaining out variable.
         for var, type_name in list(unbound_outs.items()):
-            if type_name == "int" and self.config.arithmetic \
-                    and self.rng.random() < 0.5:
+            if type_name == "int" and self.rng.random() < 0.5:
                 body.append(
                     Struct("is", (var, self._arith_expr(bound["int"])))
                 )
@@ -434,7 +434,7 @@ class ProgramGenerator:
                 body.append(Struct("=", (var, self._ground_of(type_name))))
                 self._feat("builtin.=")
             bound[type_name].append(var)
-        if self.config.cut and body and self.rng.random() < 0.15:
+        if body and self.rng.random() < 0.15:
             body.insert(self.rng.randrange(len(body) + 1), CUT)
             self._feat("builtin.!")
         self._emit(head, body)
@@ -455,7 +455,7 @@ class ProgramGenerator:
                     bound["term"].append(var)
             self._feat(f"call.{sig.kind}")
             return [Struct(sig.name, tuple(args))]
-        if choice < 0.65 and self.config.arithmetic:
+        if choice < 0.65:
             left = (
                 self.rng.choice(bound["int"])
                 if bound["int"] and self.rng.random() < 0.7
@@ -471,14 +471,12 @@ class ProgramGenerator:
                 self._feat(f"builtin.{test}")
                 return [Struct(test, (self.rng.choice(everything),))]
             return []
-        if self.config.arithmetic:
-            var = self._fresh_var()
-            expression = self._arith_expr(bound["int"])
-            bound["int"].append(var)
-            bound["term"].append(var)
-            self._feat("builtin.is")
-            return [Struct("is", (var, expression))]
-        return []
+        var = self._fresh_var()
+        expression = self._arith_expr(bound["int"])
+        bound["int"].append(var)
+        bound["term"].append(var)
+        self._feat("builtin.is")
+        return [Struct("is", (var, expression))]
 
     # -- main driver and queries ---------------------------------------
 
@@ -526,22 +524,19 @@ class ProgramGenerator:
     # -- entry point ----------------------------------------------------
 
     def generate(self) -> GeneratedProgram:
-        config = self.config
-        helper_budget = self.rng.randint(1, max(1, config.max_helpers))
-        templates = ["facts", "rule"]
-        if config.recursion:
-            templates += ["fold", "map", "append", "member"]
+        helper_budget = self.rng.randint(1, MAX_HELPERS)
+        templates = ["facts", "rule", "fold", "map", "append", "member"]
         index = 0
         while (
             len(self._pool) < helper_budget
-            and len(self._clauses) < config.size_budget - 1
+            and len(self._clauses) < self.config.size_budget - 1
         ):
             kind = self.rng.choice(templates)
             name = f"p{index}"
             index += 1
             if kind == "facts":
                 sig = self._template_facts(name)
-            elif kind == "fold" and config.arithmetic:
+            elif kind == "fold":
                 sig = self._template_fold(name)
             elif kind == "map":
                 sig = self._template_map(name)
@@ -561,7 +556,7 @@ class ProgramGenerator:
         entries.append(entry)
         queryable = list(self._pool)
         self.rng.shuffle(queryable)
-        for sig in queryable[: max(0, config.queries_per_program - 1)]:
+        for sig in queryable[: QUERIES_PER_PROGRAM - 1]:
             goal, entry = self._query_for(sig)
             goals.append(goal)
             entries.append(entry)

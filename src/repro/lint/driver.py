@@ -48,8 +48,6 @@ class LintOptions:
     source: bool = True
     #: optional resource budget for the underlying analysis.
     budget: Optional[Budget] = None
-    #: deterministic fault injection (tests only).
-    fault_plan: object = None
     #: a linter should produce a report, not crash, when the budget
     #: trips — hence "degrade" here, unlike the analyzer's "raise".
     on_budget: str = "degrade"
@@ -136,7 +134,6 @@ def lint_program(
         subsumption=options.subsumption,
         on_undefined=options.on_undefined,
         budget=options.budget,
-        fault_plan=options.fault_plan,
         on_budget=options.on_budget,
     )
     result: Optional[AnalysisResult] = None

@@ -76,12 +76,6 @@ class ClauseParallelism:
     calling: Pattern
     pairs: List[GoalPairInfo]
 
-    @property
-    def parallel_pairs(self) -> int:
-        return sum(
-            1 for pair in self.pairs if pair.status in ("independent", "conditional")
-        )
-
     def to_text(self) -> str:
         header = (
             f"{format_indicator(self.indicator)} clause {self.clause_index + 1}"

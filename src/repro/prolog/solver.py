@@ -197,7 +197,6 @@ class Solver:
         self,
         program: Program,
         max_steps: int = 10_000_000,
-        trace: bool = False,
         budget=None,
         max_depth: Optional[int] = None,
     ):
@@ -217,7 +216,6 @@ class Solver:
         #: as the step limit.
         self.max_depth = max_depth
         self.steps = 0
-        self.trace = trace
         self.output: List[str] = []
         #: Optional repro.robust.Budget whose armed *deadline* the
         #: resolution loop probes every 2048 steps (other dimensions are
@@ -369,9 +367,6 @@ class Solver:
             raise PrologError("resource_error", "depth limit exceeded")
         frame = next(self._frame_counter)
         entry_mark = self.bindings.mark()
-        if self.trace:
-            printed = self.bindings.resolve(goal)
-            self.output.append("  " * depth + f"call {printed}")
         try:
             for clause in predicate.clauses:
                 mark = self.bindings.mark()

@@ -195,8 +195,8 @@ class Budget:
         deadline_at = self._deadline_at
         return deadline_at is not None and time.monotonic() > deadline_at
 
-    def deadline_imminent(self, fraction: float = 0.25) -> bool:
-        """Non-raising proximity probe: is less than ``fraction`` of the
+    def deadline_imminent(self) -> bool:
+        """Non-raising proximity probe: is less than a quarter of the
         armed deadline window left?
 
         Used by the checkpoint policy (:mod:`repro.robust.checkpoint`)
@@ -206,7 +206,7 @@ class Budget:
         deadline_at = self._deadline_at
         if deadline_at is None or self.deadline is None:
             return False
-        return (deadline_at - time.monotonic()) < fraction * self.deadline
+        return (deadline_at - time.monotonic()) < 0.25 * self.deadline
 
     # ------------------------------------------------------------------
     # Per-request budgets (used by the repro.serve service).

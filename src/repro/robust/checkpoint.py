@@ -59,10 +59,6 @@ CHECKPOINT_FORMAT = "repro.checkpoint/1"
 #: Default cadence: one snapshot every this many fixpoint passes.
 DEFAULT_CHECKPOINT_EVERY = 16
 
-#: Default deadline-proximity trigger: snapshot once when less than this
-#: fraction of the budget's deadline window remains.
-DEFAULT_DEADLINE_FRACTION = 0.25
-
 
 def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -212,7 +208,6 @@ class CheckpointPolicy:
         *,
         every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
         budget: Optional[Budget] = None,
-        deadline_fraction: float = DEFAULT_DEADLINE_FRACTION,
         config: str = "",
         key: str = "",
         entries: Iterable = (),
@@ -223,12 +218,9 @@ class CheckpointPolicy:
     ):
         if every is not None and every < 1:
             raise ValueError(f"checkpoint cadence must be >= 1, not {every!r}")
-        if not (0.0 < deadline_fraction < 1.0):
-            raise ValueError("deadline_fraction must be in (0, 1)")
         self.sink = sink
         self.every = every
         self.budget = budget
-        self.deadline_fraction = deadline_fraction
         self.config = config
         self.key = key
         self.entries = tuple(str(entry) for entry in entries)
@@ -259,7 +251,7 @@ class CheckpointPolicy:
         self.passes += 1
         due = self.every is not None and self.passes % self.every == 0
         if not due and not self._proximity_fired and self.budget is not None:
-            if self.budget.deadline_imminent(self.deadline_fraction):
+            if self.budget.deadline_imminent():
                 due = True
                 self._proximity_fired = True
                 if self.metrics is not None:
@@ -302,7 +294,6 @@ class CheckpointPolicy:
 __all__ = [
     "CHECKPOINT_FORMAT",
     "DEFAULT_CHECKPOINT_EVERY",
-    "DEFAULT_DEADLINE_FRACTION",
     "CheckpointPolicy",
     "checkpoint_checksum",
     "cursor_iterations",

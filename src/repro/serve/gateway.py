@@ -209,7 +209,6 @@ class Gateway:
         service_config: Optional[ServiceConfig] = None,
         fault_plans: Optional[Dict[int, object]] = None,
         backend_factory=None,
-        tracer=None,
         trace_path: Optional[str] = None,
     ):
         from ..obs.metrics import MetricsRegistry
@@ -223,7 +222,7 @@ class Gateway:
         self._fault_plans = fault_plans or {}
         self._backend_factory = backend_factory or self._default_backend
         self.metrics = MetricsRegistry()
-        self.tracer = tracer
+        self.tracer = None
         #: Cross-process trace plumbing (docs/tracing.md): with
         #: ``trace_path`` set, every layer — gateway event loop, each
         #: shard's dispatch thread, each shard's supervisor — gets its

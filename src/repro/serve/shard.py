@@ -41,6 +41,7 @@ import time
 from typing import Callable, List, Optional
 
 from ..errors import ReproError
+from ..obs.metrics import MetricsRegistry
 from .pool import respawn_backoff
 
 
@@ -110,9 +111,10 @@ class Shard:
         #: Gateway-provided provider of hot requests to replay through a
         #: freshly respawned backend (store warm-up).
         self.warm_requests = warm_requests
-        #: Optional shared MetricsRegistry (owned by the gateway; the
-        #: dispatch thread only increments counters, which is safe).
-        self.metrics = metrics
+        #: The MetricsRegistry the gateway shares (a private one when
+        #: none is given); the dispatch thread only increments counters,
+        #: which is safe.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Optional process-named repro.obs.Tracer, used only on the
         #: dispatch thread (single-threaded, so its span stack stays
         #: LIFO).  A ``shard.dispatch`` span brackets each *traced*
@@ -207,10 +209,7 @@ class Shard:
                 # The deadline lapsed while the request sat in the
                 # queue; running it now could only waste capacity.
                 self.shed_lapsed += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "gateway.shard.shed_lapsed"
-                    ).inc()
+                self.metrics.counter("gateway.shard.shed_lapsed").inc()
                 self._resolve(future, loop, shed_response(
                     request, "deadline-lapsed", shard=self.shard_id
                 ))
@@ -242,8 +241,7 @@ class Shard:
                 self.failures += 1
                 self._strikes += 1
                 self._healthy = False
-                if self.metrics is not None:
-                    self.metrics.counter("gateway.shard.failures").inc()
+                self.metrics.counter("gateway.shard.failures").inc()
                 self._resolve(future, loop, {
                     "ok": False,
                     "error": f"shard {self.shard_id} backend failed: "
@@ -310,8 +308,7 @@ class Shard:
         self.spawned += 1
         if respawning:
             self.respawns += 1
-            if self.metrics is not None:
-                self.metrics.counter("gateway.shard.respawns").inc()
+            self.metrics.counter("gateway.shard.respawns").inc()
             self._warm_up()
         return True
 
@@ -330,8 +327,7 @@ class Shard:
             try:
                 self._backend.handle(dict(payload))
                 self.warmed += 1
-                if self.metrics is not None:
-                    self.metrics.counter("gateway.shard.warmed").inc()
+                self.metrics.counter("gateway.shard.warmed").inc()
             except Exception:  # noqa: BLE001 — warm-up is best-effort
                 return
 

@@ -46,6 +46,8 @@ import os
 from collections import OrderedDict
 from typing import Optional
 
+from ..obs.metrics import MetricsRegistry
+
 
 # ----------------------------------------------------------------------
 # The capped in-memory store.
@@ -80,9 +82,10 @@ class ResultStore:
         self.misses = 0
         self.evictions = 0
         self.rejected_degraded = 0
-        #: repro.obs: optional MetricsRegistry mirroring the counters
-        #: above under serve.store.* (see docs/observability.md).
-        self.metrics = metrics
+        #: repro.obs: the MetricsRegistry mirroring the counters above
+        #: under serve.store.* (see docs/observability.md); a private
+        #: one when none is given.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -99,20 +102,17 @@ class ResultStore:
         if text is not None:
             self._data.move_to_end(key)
             self.hits += 1
-            if self.metrics is not None:
-                self.metrics.counter("serve.store.hits").inc()
+            self.metrics.counter("serve.store.hits").inc()
             return json.loads(text)
         if self.disk is not None:
             value = self.disk.get(key)
             if value is not None:
                 self.hits += 1
-                if self.metrics is not None:
-                    self.metrics.counter("serve.store.hits").inc()
+                self.metrics.counter("serve.store.hits").inc()
                 self._install(key, json.dumps(value, sort_keys=True))
                 return value
         self.misses += 1
-        if self.metrics is not None:
-            self.metrics.counter("serve.store.misses").inc()
+        self.metrics.counter("serve.store.misses").inc()
         return None
 
     def put(self, key: str, value, status: str = "exact") -> bool:
@@ -123,8 +123,7 @@ class ResultStore:
         """
         if status != "exact":
             self.rejected_degraded += 1
-            if self.metrics is not None:
-                self.metrics.counter("serve.store.rejected_degraded").inc()
+            self.metrics.counter("serve.store.rejected_degraded").inc()
             return False
         text = json.dumps(value, sort_keys=True)
         if self.max_bytes is not None and len(text) > self.max_bytes:
@@ -160,8 +159,7 @@ class ResultStore:
         self._install(key, text)
         if self.disk is not None:
             self.disk.put(key, text)
-        if self.metrics is not None:
-            self.metrics.counter("checkpoint.stored").inc()
+        self.metrics.counter("checkpoint.stored").inc()
         return True
 
     def get_checkpoint(self, key: str):
@@ -177,7 +175,7 @@ class ResultStore:
         """GC one checkpoint (memory and disk) after its request
         completed exactly; True when anything was dropped."""
         dropped = self.invalidate(key)
-        if dropped and self.metrics is not None:
+        if dropped:
             self.metrics.counter("checkpoint.gc").inc()
         return dropped
 
@@ -191,8 +189,7 @@ class ResultStore:
             evicted_key, evicted = self._data.popitem(last=False)
             self.bytes_used -= len(evicted)
             self.evictions += 1
-            if self.metrics is not None:
-                self.metrics.counter("serve.store.evictions").inc()
+            self.metrics.counter("serve.store.evictions").inc()
 
     def _over_cap(self) -> bool:
         if self.max_entries is not None and len(self._data) > self.max_entries:
@@ -280,10 +277,10 @@ class DiskStore:
         self.checksum_failures = 0
         self.journal_replayed = 0
         self.journal_rotations = 0
-        #: repro.obs: optional MetricsRegistry mirroring the self-healing
+        #: repro.obs: the MetricsRegistry mirroring the self-healing
         #: counters under serve.store.* (quarantines, checksum failures,
-        #: journal replays).
-        self.metrics = metrics
+        #: journal replays); a private one when none is given.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._journal_handle = None
         os.makedirs(directory, exist_ok=True)
         if journal:
@@ -337,8 +334,7 @@ class DiskStore:
         text = json.dumps(data["value"], sort_keys=True)
         if _checksum(text) != data["sha256"]:
             self.checksum_failures += 1
-            if self.metrics is not None:
-                self.metrics.counter("serve.store.checksum_failures").inc()
+            self.metrics.counter("serve.store.checksum_failures").inc()
             return None
         return data["value"]
 
@@ -359,14 +355,12 @@ class DiskStore:
                 )
             os.replace(path, destination)
             self.quarantined += 1
-            if self.metrics is not None:
-                self.metrics.counter("serve.store.quarantined").inc()
+            self.metrics.counter("serve.store.quarantined").inc()
         except OSError:
             try:
                 os.unlink(path)
                 self.quarantined += 1
-                if self.metrics is not None:
-                    self.metrics.counter("serve.store.quarantined").inc()
+                self.metrics.counter("serve.store.quarantined").inc()
             except OSError:
                 pass
 
@@ -428,7 +422,7 @@ class DiskStore:
                 self._write_file(path, self._record_text(key, value_text))
                 repaired += 1
         self.journal_replayed += repaired
-        if repaired and self.metrics is not None:
+        if repaired:
             self.metrics.counter("serve.store.journal.replayed").inc(repaired)
         try:
             with open(journal_path, "w", encoding="utf-8"):
@@ -452,10 +446,7 @@ class DiskStore:
                 # journal growth need to see the resets (stats op +
                 # serve.store.* metrics).
                 self.journal_rotations += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "serve.store.journal.rotated"
-                    ).inc()
+                self.metrics.counter("serve.store.journal.rotated").inc()
             handle.write(record_text + "\n")
             handle.flush()
         except (OSError, ValueError):

@@ -37,11 +37,11 @@ from ..instructions import Reg, xreg, yreg
 CUT = Atom("!")
 
 
-def goal_kind(goal: Term, builtin_indicators=MACHINE_BUILTIN_INDICATORS) -> str:
+def goal_kind(goal: Term) -> str:
     """Classify a body goal: ``cut``, ``builtin`` or ``call``."""
     if goal == CUT:
         return "cut"
-    if goal.is_callable() and indicator_of(goal) in builtin_indicators:
+    if goal.is_callable() and indicator_of(goal) in MACHINE_BUILTIN_INDICATORS:
         return "builtin"
     return "call"
 
@@ -118,9 +118,9 @@ def _max_arity(clause: Clause) -> int:
     return max(arities)
 
 
-def analyze_clause(clause: Clause, builtin_indicators=MACHINE_BUILTIN_INDICATORS) -> ClauseAnalysis:
+def analyze_clause(clause: Clause) -> ClauseAnalysis:
     """Run the full clause analysis; see the module docstring."""
-    kinds = [goal_kind(goal, builtin_indicators) for goal in clause.body]
+    kinds = [goal_kind(goal) for goal in clause.body]
 
     # Chunk assignment: head is chunk 0; each user call ends its chunk.
     goal_chunks: List[int] = []

@@ -48,15 +48,9 @@ class CompilerOptions:
 class ClauseEmitter:
     """Generates the instruction list for one analyzed clause."""
 
-    def __init__(
-        self,
-        analysis: ClauseAnalysis,
-        options: CompilerOptions,
-        builtin_indicators,
-    ):
+    def __init__(self, analysis: ClauseAnalysis, options: CompilerOptions):
         self.analysis = analysis
         self.options = options
-        self.builtin_indicators = builtin_indicators
         self.code: List[Instr] = []
         self.next_temp = analysis.temp_start
         self._seen: Set[int] = set()
@@ -294,17 +288,9 @@ class ClauseEmitter:
 
 
 def compile_clause(
-    clause: Clause,
-    options: Optional[CompilerOptions] = None,
-    builtin_indicators=None,
+    clause: Clause, options: Optional[CompilerOptions] = None
 ) -> List[Instr]:
     """Compile one clause to an instruction list (no chain instructions)."""
-    from ..builtins import MACHINE_BUILTIN_INDICATORS
-
-    if builtin_indicators is None:
-        builtin_indicators = MACHINE_BUILTIN_INDICATORS
     if options is None:
         options = CompilerOptions()
-    analysis = analyze_clause(clause, builtin_indicators)
-    emitter = ClauseEmitter(analysis, options, builtin_indicators)
-    return emitter.emit_clause()
+    return ClauseEmitter(analyze_clause(clause), options).emit_clause()

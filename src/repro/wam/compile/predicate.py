@@ -59,12 +59,10 @@ class _PredicateAssembler:
         self,
         predicate: Predicate,
         options: CompilerOptions,
-        builtins,
         force_index: bool = False,
     ):
         self.predicate = predicate
         self.options = options
-        self.builtins = builtins
         #: Optimizer mode: emit a switch even when some clauses have
         #: variable first-argument keys, merging those clauses into every
         #: bucket (in source order) and routing table misses and the
@@ -86,7 +84,7 @@ class _PredicateAssembler:
     def assemble(self) -> PredicateCode:
         clauses = self.predicate.clauses
         compiled = [
-            compile_clause(clause, self.options, self.builtins)
+            compile_clause(clause, self.options)
             for clause in clauses
         ]
         if len(clauses) == 1:
@@ -218,7 +216,6 @@ class _PredicateAssembler:
 def compile_predicate(
     predicate: Predicate,
     options: Optional[CompilerOptions] = None,
-    builtin_indicators=None,
     force_index: bool = False,
 ) -> PredicateCode:
     """Compile all clauses of one predicate, chains and indexing included.
@@ -227,13 +224,7 @@ def compile_predicate(
     dispatch even when some clauses carry variable keys (they merge into
     every bucket; see :meth:`_PredicateAssembler._emit_switch`).
     """
-    from ..builtins import MACHINE_BUILTIN_INDICATORS
-
     if options is None:
         options = CompilerOptions()
-    if builtin_indicators is None:
-        builtin_indicators = MACHINE_BUILTIN_INDICATORS
-    assembler = _PredicateAssembler(
-        predicate, options, builtin_indicators, force_index=force_index
-    )
+    assembler = _PredicateAssembler(predicate, options, force_index=force_index)
     return assembler.assemble()

@@ -92,17 +92,12 @@ class CompiledProgram:
 def compile_program(
     program: Program,
     options: Optional[CompilerOptions] = None,
-    normalize: bool = True,
 ) -> CompiledProgram:
-    """Compile and link every predicate of ``program``.
-
-    ``normalize`` rewrites ``;``, ``->`` and ``\\+`` first; pass False only
-    for programs known to be free of control constructs.
-    """
+    """Compile and link every predicate of ``program``, after rewriting
+    ``;``, ``->`` and ``\\+`` (:func:`normalize_program`)."""
     if options is None:
         options = CompilerOptions()
-    if normalize:
-        program = normalize_program(program)
+    program = normalize_program(program)
     code = CodeArea()
     code.instructions.append(ins.halt_instr())
     code.instructions.append(ins.fail_instr())

@@ -26,15 +26,11 @@ class TraceLine:
     kind: str  # 'instr' or 'event'
     address: int
     text: str
-    note: str = ""
 
     def render(self) -> str:
         if self.kind == "event":
             return f"        %% {self.text}"
-        line = f"{self.address:5d}  {self.text}"
-        if self.note:
-            line = f"{line:50s} % {self.note}"
-        return line
+        return f"{self.address:5d}  {self.text}"
 
 
 @dataclass
@@ -63,13 +59,6 @@ class Tracer:
             self.truncated = True
             return
         self.lines.append(TraceLine("event", -1, text))
-
-    def annotate_last(self, note: str) -> None:
-        """Attach a note to the most recent instruction line."""
-        for line in reversed(self.lines):
-            if line.kind == "instr":
-                line.note = note
-                return
 
     def to_text(self) -> str:
         rendered = [line.render() for line in self.lines]

@@ -13,8 +13,8 @@ import pytest
 from repro.analysis.driver import Analyzer
 from repro.fuzz.grammar import (
     CURATED_BUILTINS,
+    MAX_CLAUSES,
     GenConfig,
-    ProgramGenerator,
     generate_program,
 )
 from repro.fuzz.mutate import (
@@ -102,7 +102,7 @@ class TestGenerator:
                 len(p.clauses) for p in program.predicates.values()
             )
             # the budget caps helper emission; main adds one clause
-            assert clauses <= 12 + ProgramGenerator(seed, config).config.max_clauses + 1
+            assert clauses <= 12 + MAX_CLAUSES + 1
 
     def test_entries_align_with_goals(self):
         for seed in range(6):
