@@ -586,13 +586,13 @@ class Gateway:
 
     @staticmethod
     def _deadline_of(request: dict) -> Optional[float]:
-        spec = request.get("budget")
-        if isinstance(spec, dict) and spec.get("deadline") is not None:
-            try:
-                return float(spec["deadline"])
-            except (TypeError, ValueError):
-                pass
-        return None
+        """The request's budget deadline; None for a budget
+        :meth:`Budget.from_wire` refuses, which the service answers."""
+        try:
+            requested = Budget.from_wire(request.get("budget"))
+        except (TypeError, ValueError):
+            return None
+        return requested.deadline if requested is not None else None
 
     def _degrade_depth(self) -> int:
         if self.config.degrade_depth is not None:

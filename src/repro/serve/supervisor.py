@@ -78,14 +78,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import ReproError
-from ..robust import FaultPlan
+from ..robust import Budget, FaultPlan
 from ..robust.checkpoint import cursor_iterations
 from .pool import Worker, WorkerCrashed, WorkerTimeout, respawn_backoff
 from .service import ServiceConfig
@@ -220,17 +219,15 @@ class Supervisor:
 
         A limit no wait can honour — infinite, or longer than the
         platform's lock timeouts accept — is no kill timer either, and
-        a NaN request deadline is left for the worker to refuse."""
+        a budget :meth:`Budget.from_wire` refuses arms none: the worker
+        answers it as a bad request."""
         candidates = []
-        spec = request.get("budget")
-        if isinstance(spec, dict) and spec.get("deadline") is not None:
-            try:
-                deadline = float(spec["deadline"])
-            except (TypeError, ValueError):
-                pass  # the worker answers the malformed budget
-            else:
-                if not math.isnan(deadline):
-                    candidates.append(deadline)
+        try:
+            requested = Budget.from_wire(request.get("budget"))
+        except (TypeError, ValueError):
+            requested = None
+        if requested is not None and requested.deadline is not None:
+            candidates.append(requested.deadline)
         server = self.service_config.budget
         if server is not None and server.deadline is not None:
             candidates.append(server.deadline)

@@ -412,6 +412,24 @@ def test_lapsed_deadline_is_shed_at_dequeue():
     asyncio.run(scenario())
 
 
+def test_refused_deadline_is_answered_not_shed():
+    # A negative deadline is a malformed budget, not an unreachable
+    # one: the service answers it, and a retrying client stops.
+    async def scenario():
+        gateway = Gateway(GatewayConfig(shards=1, workers=0))
+        try:
+            return await gateway.handle_request({
+                "op": "analyze", "text": NREV,
+                "entries": ["nrev(glist, var)"], "budget": {"deadline": -1},
+            })
+        finally:
+            await gateway.stop()
+
+    response = asyncio.run(scenario())
+    assert "shed" not in response and "retriable" not in response
+    assert response["ok"] is False and "deadline" in response["error"]
+
+
 # ----------------------------------------------------------------------
 # Self-healing: backend death → structured error → respawn → warm.
 

@@ -313,6 +313,24 @@ def test_unwaitable_deadline_answered_alike_in_and_out_of_process(
             assert "deadline" in response["error"]
 
 
+def test_refused_deadline_arms_no_kill_timer():
+    # A budget the service refuses (a negative deadline) is the worker's
+    # to answer; it must not arm a kill timer that SIGKILLs the worker
+    # and loses its warm cache.
+    request = dict(REQUEST, budget={"deadline": -1})
+    in_process = AnalysisService(ServiceConfig())
+    in_process.handle(dict(REQUEST))
+    expected = in_process.handle(dict(request))
+    with _supervisor() as supervisor:
+        supervisor.handle(dict(REQUEST))
+        refused = supervisor.handle(dict(request))
+        repeat = supervisor.handle(dict(REQUEST))
+        kills = supervisor.kills
+    assert kills == 0
+    assert refused["ok"] is expected["ok"] and "error_kind" not in refused
+    assert repeat["cache"]["outcome"] == HIT
+
+
 # ----------------------------------------------------------------------
 # Protocol plumbing: shutdown, stats, invalidate, serve_loop, batch.
 
