@@ -276,7 +276,9 @@ class Parser:
                 definition = self.operators.infix(";")
             else:
                 definition = self.operators.infix(name)
-            assert definition is not None
+            if definition is None:
+                # ``|`` reads as ``;``, which op/3 may have removed.
+                return left, left_priority
             if definition.priority > max_priority:
                 return left, left_priority
             left_max, right_max = definition.argument_priorities()
@@ -316,8 +318,11 @@ def parse_term_with_vars(
     return term, dict(parser.var_map)
 
 
-def _apply_directive(term: Term, operators: OperatorTable) -> bool:
-    """Apply ``:- op/3`` directives; True if one was applied."""
+def _apply_directive(
+    term: Term, operators: OperatorTable, position: Tuple[int, int]
+) -> bool:
+    """Apply ``:- op/3`` directives; True if one was applied.  A bad
+    directive is a :class:`PrologSyntaxError` at ``position``."""
     if not (isinstance(term, Struct) and term.name == ":-" and term.arity == 1):
         return False
     body = term.args[0]
@@ -327,15 +332,22 @@ def _apply_directive(term: Term, operators: OperatorTable) -> bool:
 
     priority, kind, names = body.args
     if not isinstance(priority, Int) or not isinstance(kind, Atom):
-        raise PrologSyntaxError("malformed op/3 directive")
+        raise PrologSyntaxError("malformed op/3 directive", *position)
     if is_proper_list(names):
         name_terms, _ = list_elements(names)
     else:
         name_terms = [names]
     for name_term in name_terms:
         if not isinstance(name_term, Atom):
-            raise PrologSyntaxError("op/3 name must be an atom")
-        operators.add(priority.value, kind.name, name_term.name)
+            raise PrologSyntaxError("op/3 name must be an atom", *position)
+        if name_term.name == ",":
+            # ISO makes this a permission error: ',' is not an operator
+            # a program may modify.
+            raise PrologSyntaxError("op/3 cannot modify ','", *position)
+        try:
+            operators.add(priority.value, kind.name, name_term.name)
+        except ValueError as error:
+            raise PrologSyntaxError(str(error), *position) from None
     return True
 
 
@@ -365,8 +377,8 @@ def read_terms_with_positions(
         term = parser.read_clause_term()
         if term is None:
             return result
-        if not _apply_directive(term, table):
-            assert parser.clause_position is not None
+        assert parser.clause_position is not None
+        if not _apply_directive(term, table, parser.clause_position):
             result.append((term, parser.clause_position))
 
 
@@ -398,8 +410,8 @@ def read_terms_with_recovery(
             term = parser.read_clause_term()
             if term is None:
                 return result, errors
-            if not _apply_directive(term, table):
-                assert parser.clause_position is not None
+            assert parser.clause_position is not None
+            if not _apply_directive(term, table, parser.clause_position):
                 result.append((term, parser.clause_position))
         except PrologSyntaxError as exc:
             errors.append(exc)

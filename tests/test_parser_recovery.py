@@ -111,6 +111,27 @@ class TestLintFileRecovery:
         # the recovered remainder was still analyzed + linted
         assert report.has_errors
 
+    @pytest.mark.parametrize("directive", [
+        "op(0, xfy, ',')", "op(1300, xfx, foo)", "op(700, zzz, foo)",
+    ])
+    def test_bad_op_directive_is_e001(self, tmp_path, directive):
+        from repro.lint import lint_file
+
+        source = tmp_path / "ops.pl"
+        source.write_text(f":- {directive}.\np(1).\nmain :- p(X), p(X).\n")
+        report = lint_file(str(source), ["main"])
+        errors = [d for d in report.diagnostics if d.severity == "error"]
+        assert [(d.code, d.position) for d in errors] == [("E001", (1, 1))]
+
+    def test_bar_without_semicolon_operator_is_e001(self, tmp_path):
+        from repro.lint import lint_file
+
+        source = tmp_path / "bar.pl"
+        source.write_text(":- op(0, xfy, ;).\np :- true | true.\nmain.\n")
+        report = lint_file(str(source), ["main"])
+        errors = [d for d in report.diagnostics if d.severity == "error"]
+        assert [(d.code, d.position) for d in errors] == [("E001", (2, 11))]
+
     def test_all_errors_no_predicates(self, tmp_path):
         from repro.lint import lint_file
 

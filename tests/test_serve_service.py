@@ -271,6 +271,20 @@ def test_lint_op_uses_cache_and_reports():
     assert first["lint"] == second["lint"]
 
 
+@pytest.mark.parametrize("text", [
+    ":- op(0, xfy, ',').\np(X) :- q(X), q(X).\nq(1).\n",
+    ":- op(0, xfy, ;).\np(X) :- q(X) | q(X).\nq(1).\n",
+])
+def test_operator_directive_errors_are_answered(text):
+    service = _service()
+    response = service.handle(
+        {"op": "analyze", "text": text, "entries": ["p(var)"]}
+    )
+    assert response["ok"] is False and "at line" in response["error"]
+    good = {"op": "analyze", "text": "q(b).", "entries": ["q(var)"]}
+    assert service.handle(good)["ok"]
+
+
 def test_error_requests_are_answered_not_raised():
     service = _service()
     assert service.handle({"op": "analyze"})["ok"] is False
