@@ -220,7 +220,7 @@ class Supervisor:
         A limit no wait can honour — infinite, or longer than the
         platform's lock timeouts accept — is no kill timer either, and
         a budget :meth:`Budget.from_wire` refuses arms none: the worker
-        answers it as a bad request."""
+        answers that request as the in-process service would."""
         candidates = []
         try:
             requested = Budget.from_wire(request.get("budget"))

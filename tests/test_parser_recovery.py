@@ -115,6 +115,8 @@ class TestLintFileRecovery:
         "op(0, xfy, ',')", "op(1300, xfx, foo)", "op(700, zzz, foo)",
     ])
     def test_bad_op_directive_is_e001(self, tmp_path, directive):
+        # A bad op/3 directive is one E001 at the directive, and the
+        # clauses after it still lint with ',' as an operator.
         from repro.lint import lint_file
 
         source = tmp_path / "ops.pl"
@@ -124,6 +126,8 @@ class TestLintFileRecovery:
         assert [(d.code, d.position) for d in errors] == [("E001", (1, 1))]
 
     def test_bar_without_semicolon_operator_is_e001(self, tmp_path):
+        # '|' reads as ';'; once op/3 removed ';', a '|' in a body is a
+        # syntax error at the '|'.
         from repro.lint import lint_file
 
         source = tmp_path / "bar.pl"

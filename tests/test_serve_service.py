@@ -276,6 +276,8 @@ def test_lint_op_uses_cache_and_reports():
     ":- op(0, xfy, ;).\np(X) :- q(X) | q(X).\nq(1).\n",
 ])
 def test_operator_directive_errors_are_answered(text):
+    # A program whose op/3 directives unmake ',' or ';' is a syntax
+    # error answered inline; the service keeps serving.
     service = _service()
     response = service.handle(
         {"op": "analyze", "text": text, "entries": ["p(var)"]}
