@@ -16,7 +16,7 @@ same fixpoint serialize byte-identically.
 from __future__ import annotations
 
 import json
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List
 
 from ..domain.sorts import AbsSort
 from ..errors import AnalysisError
@@ -75,8 +75,17 @@ def pattern_from_json(data) -> Pattern:
     return canonicalize(Pattern(tuple(node_from_json(node) for node in data)))
 
 
-def entry_to_json(indicator: Indicator, entry: TableEntry) -> dict:
-    return {
+def _indicator_from_json(text: str) -> Indicator:
+    name, _, arity = text.rpartition("/")
+    return (name, int(arity))
+
+
+def entry_to_json(
+    indicator: Indicator, entry: TableEntry, reads: bool = False
+) -> dict:
+    """One entry; with ``reads``, also the entries its last run read,
+    sorted."""
+    data = {
         "predicate": format_indicator(indicator),
         "calling": pattern_to_json(entry.calling),
         "success": (
@@ -87,11 +96,22 @@ def entry_to_json(indicator: Indicator, entry: TableEntry) -> dict:
         "may_share": sorted(list(pair) for pair in entry.may_share),
         "status": entry.status,
     }
+    if reads:
+        data["reads"] = sorted(
+            (
+                [format_indicator(read), pattern_to_json(calling)]
+                for read, calling in entry.reads
+            ),
+            key=json.dumps,
+        )
+    return data
 
 
-def entry_from_json(data) -> Tuple[Indicator, Pattern, Optional[Pattern], FrozenSet]:
-    name, _, arity = data["predicate"].rpartition("/")
-    indicator = (name, int(arity))
+def entry_from_json(data) -> tuple:
+    """The seed an entry plants (see :data:`repro.analysis.driver.Seed`):
+    (indicator, calling, success, may_share), plus its read edges when
+    the entry was stored with them."""
+    indicator = _indicator_from_json(data["predicate"])
     calling = pattern_from_json(data["calling"])
     success = (
         pattern_from_json(data["success"])
@@ -99,15 +119,21 @@ def entry_from_json(data) -> Tuple[Indicator, Pattern, Optional[Pattern], Frozen
         else None
     )
     may_share = frozenset(tuple(pair) for pair in data["may_share"])
-    return indicator, calling, success, may_share
+    if "reads" not in data:
+        return indicator, calling, success, may_share
+    reads = frozenset(
+        (_indicator_from_json(read), pattern_from_json(read_calling))
+        for read, read_calling in data["reads"]
+    )
+    return indicator, calling, success, may_share, reads
 
 
 def table_to_json(table: ExtensionTable, indicators=None) -> List[dict]:
-    """Serialize a table (or the entries of ``indicators`` only), sorted
-    for deterministic output."""
+    """Serialize a table (or the entries of ``indicators`` only) with
+    each entry's read edges, sorted for deterministic output."""
     wanted = set(indicators) if indicators is not None else None
     entries = [
-        entry_to_json(indicator, entry)
+        entry_to_json(indicator, entry, reads=True)
         for indicator, entry in table.all_entries()
         if wanted is None or indicator in wanted
     ]

@@ -156,7 +156,8 @@ MAX_ITERATIONS = 100
 
 
 #: A known summary to plant before the first pass:
-#: (indicator, calling, success, may_share).
+#: (indicator, calling, success, may_share), optionally followed by the
+#: (indicator, calling) pairs its last run read, which let it be trusted.
 Seed = Tuple[Indicator, Pattern, Optional[Pattern], FrozenSet[Tuple[int, int]]]
 
 
@@ -211,11 +212,12 @@ class EntryReport:
     iterations: int = 0
     reason: Optional[str] = None
     #: Entries planted before the first sweep, from a resumed checkpoint
-    #: and from seeds, and the planted entries no sweep reached, which
-    #: the result drops (see :meth:`Analyzer.analyze`).  Not part of
-    #: ``to_dict``.
+    #: and from seeds, the seeds trusted to need no run, and the planted
+    #: entries no sweep reached, which the result drops (see
+    #: :meth:`Analyzer.analyze`).  Not part of ``to_dict``.
     resumed: int = 0
     seeded: int = 0
+    trusted: int = 0
     dropped: int = 0
     #: Whether the final sweep changed no entry, only confirming the
     #: fixpoint the sweeps before it reached.  Not part of ``to_dict``.
@@ -387,15 +389,18 @@ class Analyzer:
         and ``seeds`` are known summaries (the service's cached results
         for unchanged call-graph components).  Both are planted into
         every spec's table as initial contents — resume first, so cache
-        data wins ties — and start dirty, so each planted entry runs
-        once when a sweep first reaches it.  A planted summary below the
-        fixpoint is raised to it and its readers re-run, so resuming an
-        intermediate iterate converges to exactly the from-scratch
-        result in fewer sweeps.  A planted summary *above* the fixpoint
-        survives, sound but coarser: exact answers rest on the validity
-        of what is planted, not on this loop.  The result keeps every
-        entry some sweep explored and drops the planted entries no
-        sweep reached, so summaries the program no longer reaches never
+        data wins ties.  A seed that carries its read edges, and whose
+        read closure is planted and trusted too, is trusted: a call
+        answers it from the table and it never runs.  Every other
+        planted entry starts dirty and runs once when a sweep first
+        reaches it.  A planted summary below the fixpoint is raised to
+        it and its readers re-run, so resuming an intermediate iterate
+        converges to exactly the from-scratch result in fewer sweeps.
+        A planted summary *above* the fixpoint survives, sound but
+        coarser: exact answers rest on the validity of what is planted,
+        not on this loop.  The result keeps every entry some sweep
+        explored or adopted and drops the planted entries no sweep
+        reached, so summaries the program no longer reaches never
         appear in it.
         """
         specs = [parse_entry_spec(entry) for entry in entries]
@@ -425,9 +430,10 @@ class Analyzer:
                 from ..robust.checkpoint import plant
 
                 report.resumed = plant(resume, spec_table, metrics=metrics)
-            for indicator, calling, success, may_share in seeds:
-                spec_table.seed(indicator, calling, success, may_share)
+            for seed in seeds:
+                spec_table.seed(*seed)
             report.seeded = len(seeds)
+            report.trusted = spec_table.trust()
             planted = report.resumed + report.seeded
             machine = AbstractMachine(
                 self.compiled, spec_table, depth=self.depth,

@@ -258,12 +258,14 @@ class AbstractMachine(Machine):
                 f"call {format_indicator(indicator)}{calling}"
             )
         existing = self.table.find(indicator, calling)
+        if existing is not None and existing.trusted:
+            self._adopt(existing)
         if existing is not None and self._settled(existing):
             # Return the recorded summary, or fail if none is known yet.
             if self.tracer is not None:
                 summary = existing.success if existing.success else "no success yet"
                 self.tracer.event(f"  table hit -> {summary}")
-            return self._apply_success(existing, args, ret)
+            return self._apply_success(indicator, existing, args, ret)
         if self.subsumption and existing is None:
             subsumer = self._find_subsumer(indicator, calling)
             if subsumer is not None:
@@ -272,7 +274,7 @@ class AbstractMachine(Machine):
                     self.tracer.event(
                         f"  subsumed by {subsumer.calling}"
                     )
-                return self._apply_success(subsumer, args, ret)
+                return self._apply_success(indicator, subsumer, args, ret)
         entry = self.table.entry(indicator, calling)
         entry.explored_iteration = self.iteration
         entry.dirty = False
@@ -284,17 +286,17 @@ class AbstractMachine(Machine):
                         "existence_error",
                         f"unknown predicate {format_indicator(indicator)}",
                     )
-                if self.on_undefined == "fail":
-                    return "fail"
-                # "top": the unknown predicate may succeed with anything
-                # and alias any pair of its arguments; record a top
-                # success pattern so callers see `any`.
-                self.table.update(
-                    indicator, calling,
-                    top_success_pattern(arity), all_share_pairs(arity),
-                )
-                return self._apply_success(entry, args, ret)
-            return self._apply_success(entry, args, ret)
+                if self.on_undefined == "top":
+                    # The unknown predicate may succeed with anything
+                    # and alias any pair of its arguments; record a top
+                    # success pattern so callers see `any`.
+                    self.table.update(
+                        indicator, calling,
+                        top_success_pattern(arity), all_share_pairs(arity),
+                    )
+                # "fail" records no success, so the lookup fails.
+            return self._apply_success(indicator, entry, args, ret)
+        entry.reads.clear()
         frame = ExplorationFrame(
             indicator=indicator,
             calling=calling,
@@ -316,12 +318,29 @@ class AbstractMachine(Machine):
     def _settled(self, entry: TableEntry) -> bool:
         """Whether a call may take ``entry``'s summary from the table:
         it was explored in this sweep (or is in progress), or explored
-        in an earlier one and is clean."""
+        (or adopted) in an earlier one and is clean."""
         explored = entry.explored_iteration
         return explored == self.iteration or (explored > 0 and not entry.dirty)
 
+    def _adopt(self, entry: TableEntry) -> None:
+        """Take a trusted entry's summary as this run's own: it and the
+        closure of its reads count as explored in this sweep, as if
+        they had run, so the result keeps what a run would have reached.
+        :meth:`ExtensionTable.trust` made sure every entry of the
+        closure is planted and trusted."""
+        pending = [entry]
+        while pending:
+            entry = pending.pop()
+            if not entry.trusted:
+                continue
+            entry.trusted = False
+            entry.explored_iteration = self.iteration
+            for indicator, calling in entry.reads:
+                pending.append(self.table.get(indicator, calling))
+
     def _find_subsumer(self, indicator: Indicator, calling: Pattern):
-        """A settled entry whose calling pattern covers ``calling``."""
+        """A settled entry whose calling pattern covers ``calling``:
+        trusted entries this run has not adopted are not candidates."""
         best = None
         for entry in self.table.entries_for(indicator):
             if not self._settled(entry):
@@ -342,14 +361,20 @@ class AbstractMachine(Machine):
         self.pc = frame.clause_addresses[frame.clause_index]
 
     def _apply_success(
-        self, entry: TableEntry, args: Tuple[Cell, ...], ret: int
+        self,
+        indicator: Indicator,
+        entry: TableEntry,
+        args: Tuple[Cell, ...],
+        ret: int,
     ):
         """``lookupET``: unify the summarized success pattern back into the
         caller's arguments; fail when no success is recorded.  The
         innermost open frame's entry (none at the top level) becomes a
-        reader of ``entry``."""
+        reader of ``entry``, and ``entry`` one of its reads."""
         if self.frames:
-            entry.readers.add(self.frames[-1].entry)
+            reader = self.frames[-1].entry
+            entry.readers.add(reader)
+            reader.reads.add((indicator, entry.calling))
         if entry.success is None:
             return "fail"
         success_cells = materialize_pattern(self.heap, entry.success)
@@ -431,7 +456,7 @@ class AbstractMachine(Machine):
                     f"{frame.calling} -> {summary}"
                 )
             outcome = self._apply_success(
-                frame.entry, frame.original_args, frame.ret
+                frame.indicator, frame.entry, frame.original_args, frame.ret
             )
             if outcome is None:
                 return True

@@ -10,7 +10,11 @@ prescribes.
 Each entry also records its *readers*: the entries whose runs read its
 summary.  An update that changes an entry marks those readers *dirty*,
 and the fixpoint driver sweeps until no explored entry is dirty (see
-:mod:`repro.analysis.driver`).  The ``changes`` counter increases
+:mod:`repro.analysis.driver`).  The same relation, forwards, is each
+entry's *reads*: the (predicate, calling pattern) of every entry its
+last run read.  A planted summary that carries its reads is *trusted*
+when the closure of its reads is planted and trusted too: it is
+answered from the table and never runs.  The ``changes`` counter increases
 whenever an update actually changes the table; the baselines, which
 keep the paper's whole passes, iterate until one pass leaves it
 untouched.
@@ -25,7 +29,9 @@ has been widened to ⊤ because its exploration was interrupted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 from ..prolog.terms import Indicator, format_indicator
 from ..robust import widen_entry_to_top, worse_status
@@ -48,6 +54,12 @@ class TableEntry:
     dirty: bool = False
     #: Entries whose runs read this summary since it last changed.
     readers: Set[TableEntry] = field(default_factory=set)
+    #: (predicate, calling pattern) of each entry the last run of this
+    #: one read; reset when its frame opens.
+    reads: Set[Tuple[Indicator, Pattern]] = field(default_factory=set)
+    #: Planted with its reads and not reached yet: a call takes the
+    #: summary from the table without running it (see ``trust``).
+    trusted: bool = False
     #: how many times updateET changed this entry (diagnostics).
     updates: int = 0
     #: "exact" normally; "degraded" once widened to ⊤ after an
@@ -97,6 +109,11 @@ class ExtensionTable:
             self.changes += 1
             self.created += 1
         return entry
+
+    def get(self, indicator: Indicator, calling: Pattern) -> Optional[TableEntry]:
+        """The entry for a calling pattern, if any, counting no lookup."""
+        by_pattern = self._entries.get(indicator)
+        return by_pattern.get(calling) if by_pattern is not None else None
 
     def find(self, indicator: Indicator, calling: Pattern) -> Optional[TableEntry]:
         self.lookups += 1
@@ -170,9 +187,9 @@ class ExtensionTable:
         """Lub ``other``'s entries into this table (used to combine the
         isolated per-entry-spec tables into the final result table).
 
-        Successes lub, may-share unions, statuses take the worse value;
-        the diagnostics counters accumulate.  Soundness: the lub of two
-        sound summaries over-approximates both.
+        Successes lub, may-share and reads union, statuses take the
+        worse value; the diagnostics counters accumulate.  Soundness: the
+        lub of two sound summaries over-approximates both.
         """
         for indicator, entry in other.all_entries():
             mine = self.entry(indicator, entry.calling)
@@ -182,6 +199,7 @@ class ExtensionTable:
                 else:
                     mine.success = pattern_lub(mine.success, entry.success)
             mine.may_share = mine.may_share | entry.may_share
+            mine.reads |= entry.reads
             mine.updates += entry.updates
             mine.status = worse_status(mine.status, entry.status)
         self.changes += other.changes
@@ -200,9 +218,12 @@ class ExtensionTable:
         calling: Pattern,
         success: Optional[Pattern],
         may_share: FrozenSet[Tuple[int, int]] = frozenset(),
+        reads: Optional[Iterable[Tuple[Indicator, Pattern]]] = None,
     ) -> TableEntry:
         """Install a known summary as an ordinary, not yet explored,
-        dirty entry: the first call that reaches it runs it once.
+        dirty entry: the first call that reaches it runs it once.  A
+        summary planted with its ``reads`` may instead be trusted once
+        every summary is planted (:meth:`trust`).
 
         Seeding bypasses the governor hooks: reusing a cached result
         must never trip a budget.  The ``changes`` counter still
@@ -220,13 +241,40 @@ class ExtensionTable:
         entry.may_share = may_share
         entry.status = "exact"
         entry.dirty = True
+        entry.trusted = reads is not None
+        entry.reads = set(reads) if reads is not None else set()
         return entry
 
+    def trust(self) -> int:
+        """Settle which planted summaries are trusted; returns how many.
+
+        A summary planted with its reads stays trusted only while every
+        entry its reads name is planted and trusted as well, so trust is
+        withdrawn from each summary whose read closure reaches a missing
+        or untrusted entry, which then runs once like any other seed.
+        The trusted ones are clean: a call answers them from the table.
+        """
+        candidates = [entry for _, entry in self.all_entries() if entry.trusted]
+        withdrawn = True
+        while withdrawn:
+            withdrawn = False
+            for entry in candidates:
+                if entry.trusted and not all(
+                    target is not None and target.trusted
+                    for target in (self.get(*read) for read in entry.reads)
+                ):
+                    entry.trusted = False
+                    withdrawn = True
+        trusted = [entry for entry in candidates if entry.trusted]
+        for entry in trusted:
+            entry.dirty = False
+        return len(trusted)
+
     def drop_unexplored(self) -> int:
-        """Drop every entry no sweep explored; returns how many were
-        dropped.  Every other entry is created by an exploration, so
-        this drops exactly the planted summaries the program no longer
-        reaches."""
+        """Drop every entry no sweep explored or adopted; returns how
+        many were dropped.  Every other entry is created by an
+        exploration, so this drops exactly the planted summaries the
+        program no longer reaches."""
         dropped = 0
         for indicator in list(self._entries):
             by_pattern = self._entries[indicator]

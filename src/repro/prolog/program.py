@@ -135,6 +135,8 @@ class Program:
         self.predicates: Dict[Indicator, Predicate] = {}
         self.directives: List[Term] = []
         self.operators = operators if operators is not None else OperatorTable()
+        #: True for the output of :func:`normalize_program`.
+        self.normalized = False
 
     # ------------------------------------------------------------------
 
@@ -263,6 +265,7 @@ class _Normalizer:
                 self.result.add_clause(
                     Clause(clause.head, body, position=clause.position)
                 )
+        self.result.normalized = True
         return self.result
 
     def _fresh_name(self, hint: str) -> str:
@@ -338,5 +341,8 @@ def normalize_program(program: Program) -> Program:
 
     The returned program contains only conjunction, cut and plain goals, so
     the WAM compiler and the analyzers need no special control handling.
+    A program this function returned is returned as it is.
     """
+    if program.normalized:
+        return program
     return _Normalizer(program).run()

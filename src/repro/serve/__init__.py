@@ -19,9 +19,10 @@ the operations / failure-modes contract.
 Two invariants hold across every module here.  **Soundness**: a served
 response equals what a from-scratch ``analyze()`` of the current text
 would produce — caching and crash recovery may change latency, never
-answers (degraded results are never stored, each seed a sweep reaches
-runs once and the unreached ones are dropped, and cache entries are
-fingerprint-keyed and checksummed).  **Observation is inert**: the
+answers (degraded results are never stored, a seed stored with its
+read edges is trusted only with its whole read closure, each other
+seed a sweep reaches runs once, the unreached ones are dropped, and
+cache entries are fingerprint-keyed and checksummed).  **Observation is inert**: the
 :mod:`repro.obs` metrics and traces threaded through the service
 (``metrics`` op, ``stats``, worker delta shipping) only record; they
 are guaranteed not to alter any response, and docs/observability.md

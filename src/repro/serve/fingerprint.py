@@ -7,7 +7,9 @@ chosen so that fingerprints are stable across processes and invariant
 under the edits that cannot change analysis results:
 
 * variables are numbered in first-occurrence order (α-equivalent clauses
-  fingerprint identically, whatever the variables were called);
+  fingerprint identically, whatever the variables were called), except
+  the anonymous ``_``, which compiles to no register and so renders as
+  a token of its own;
 * comments, whitespace and clause positions are invisible (they are gone
   by parse time and excluded from the serialization);
 * atom/functor names are length-prefixed, so no crafted name can collide
@@ -87,6 +89,9 @@ def canonical_term(term: Term, var_ids: Optional[Dict[int, int]] = None) -> str:
 
 def _serialize(term: Term, var_ids: Dict[int, int], out: List[str]) -> None:
     if isinstance(term, Var):
+        if term.name == "_":
+            out.append("_;")
+            return
         ident = var_ids.get(id(term))
         if ident is None:
             ident = len(var_ids)

@@ -4,7 +4,9 @@ The service analyzes with the one fixpoint loop there is,
 :meth:`repro.analysis.driver.Analyzer.analyze`: summaries cached for
 *clean* call-graph components (Merkle fingerprint unchanged, see
 :mod:`repro.serve.callgraph`) are passed as its ``seeds``, planted as
-initial table contents after any resumed checkpoint.  Planted entries
+initial table contents after any resumed checkpoint.  A seed stored
+with its read edges, whose read closure is planted and trusted too, is
+trusted: answered from the table, never run.  Other planted entries
 start dirty, so each runs once when a sweep first reaches it, and the
 sweeps go on until no explored entry is dirty.  The result then drops
 the planted entries no sweep reached, so seeds the edited program no
@@ -33,6 +35,8 @@ class ScheduleStats:
 
     sccs_total: int = 0
     seeds_planted: int = 0
+    #: Seeds answered from the table without running (read edges).
+    seeds_trusted: int = 0
     #: Planted entries no sweep reached, which the result drops.
     seeds_dropped: int = 0
     discovery_passes: int = 0
@@ -45,6 +49,7 @@ class ScheduleStats:
         return {
             "sccs_total": self.sccs_total,
             "seeds_planted": self.seeds_planted,
+            "seeds_trusted": self.seeds_trusted,
             "seeds_dropped": self.seeds_dropped,
             "discovery_passes": self.discovery_passes,
             "stabilization_passes": self.stabilization_passes,
@@ -78,6 +83,7 @@ class SCCScheduler:
         stats = ScheduleStats(sccs_total=len(self.graph.sccs))
         for report in result.entry_reports:
             stats.seeds_planted += report.seeded
+            stats.seeds_trusted += report.trusted
             stats.seeds_dropped += report.dropped
             stats.resume_planted += report.resumed
             discovery = min(report.iterations, 1)

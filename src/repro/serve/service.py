@@ -11,8 +11,9 @@ and degradation status.  The serving invariant:
     answers faster, never different, because everything it holds is
     keyed by fingerprints covering everything the analysis depends on
     (and checksummed on disk): a full-result hit is the stored answer,
-    and a partially-seeded run runs each seed it reaches once and drops
-    the ones the program no longer reaches (see
+    and a partially-seeded run takes each seed stored with its read
+    edges from the table, runs each other seed it reaches once, and
+    drops the ones the program no longer reaches (see
     :mod:`repro.serve.scheduler`).
     The fixpoint loop itself raises a seed that sits *below* the
     fixpoint, but a seed *above* it would survive — sound but coarser —
@@ -43,7 +44,7 @@ from ..analysis.codec import entry_from_json, table_to_json
 from ..analysis.driver import Analyzer, EntrySpec, Seed, parse_entry_spec
 from ..errors import ReproError
 from ..prolog.library import with_library
-from ..prolog.program import Program
+from ..prolog.program import Program, normalize_program
 from ..robust import Budget
 from ..wam.compile import CompiledProgram, CompilerOptions, compile_program
 from .callgraph import CallGraph
@@ -153,9 +154,12 @@ class AnalysisService:
         #: Front-end memos, so a repeated request parses nothing: raw
         #: text fingerprint → Prepared; program fingerprint → Prepared
         #: (an edit to comments, layout or variable names recompiles
-        #: nothing); entry text → (EntrySpec, entry fingerprint).
+        #: nothing); (indicator, predicate fingerprint) → unlinked
+        #: PredicateCode (an edit recompiles only the predicates it
+        #: changed); entry text → (EntrySpec, entry fingerprint).
         self._by_text = _Memo()
         self._by_program = _Memo()
+        self._units = _Memo()
         self._specs = _Memo()
         #: Extra checkpoint sink: the worker loop points this at stdout
         #: so every snapshot also reaches the supervisor as an interim
@@ -206,6 +210,10 @@ class AnalysisService:
             response = {"ok": False, "error": str(error)}
         except (OSError, ValueError, KeyError, TypeError) as error:
             response = {"ok": False, "error": f"bad request: {error}"}
+        except RecursionError as error:
+            # A term nested deeper than a recursive walk can follow, or
+            # a cyclic one: this request fails, the service serves on.
+            response = {"ok": False, "error": f"too deep to analyze: {error}"}
         finally:
             if self.tracer is not None:
                 self.tracer.end()
@@ -236,7 +244,9 @@ class AnalysisService:
             return {"ok": True, "metrics": self.metrics.snapshot()}
         if op == "invalidate":
             self.store.clear()
-            for memo in (self._by_text, self._by_program, self._specs):
+            for memo in (
+                self._by_text, self._by_program, self._units, self._specs
+            ):
                 memo.clear()
             return {"ok": True, "invalidated": True}
         if op == "shutdown":
@@ -270,11 +280,13 @@ class AnalysisService:
         return None
 
     def _prepare(self, text: str) -> Prepared:
-        """Parse, compile and fingerprint ``text``, memoized twice: by
-        the raw text (a repeated text parses nothing) and by the
-        program fingerprint (a text that differs only in comments,
-        layout or variable names is parsed but not compiled).  Counts
-        which level answered as ``serve.prepare{source=...}``."""
+        """Parse, normalize, compile and fingerprint ``text``, memoized
+        twice: by the raw text (a repeated text parses nothing) and by
+        the fingerprints of the normalized program, which cover the
+        ``$or_n``/``$not_n`` auxiliaries the code calls (a text that
+        differs only in comments, layout or variable names is parsed
+        but not compiled).  Counts which level answered as
+        ``serve.prepare{source=...}``."""
         text_key = text_fingerprint(text)
         prepared = self._by_text.recall(text_key)
         source = "text"
@@ -284,7 +296,8 @@ class AnalysisService:
                 with_library(text) if config.library
                 else Program.from_text(text)
             )
-            fps = predicate_fingerprints(program)
+            normalized = normalize_program(program)
+            fps = predicate_fingerprints(normalized)
             program_key = _hash(
                 ["prepared"]
                 + sorted(f"{i[0]}/{i[1]}:{fp}" for i, fp in fps.items())
@@ -297,12 +310,7 @@ class AnalysisService:
                 prepared = held._replace(program=program)
             else:
                 source = "parse"
-                compiled = compile_program(
-                    program,
-                    CompilerOptions(
-                        environment_trimming=config.environment_trimming
-                    ),
-                )
+                compiled = self._compile(normalized, fps)
                 graph = CallGraph.from_compiled(compiled)
                 prepared = self._by_program.remember(
                     program_key,
@@ -314,6 +322,35 @@ class AnalysisService:
             self._by_text.remember(text_key, prepared)
         self.metrics.counter("serve.prepare", source=source).inc()
         return prepared
+
+    def _compile(self, normalized: Program, fps) -> CompiledProgram:
+        """Compile and link ``normalized``, reusing the unit memo's code
+        for every predicate whose fingerprint it holds.  Counts the
+        linked units as ``serve.compile.units{source=reused|compiled}``."""
+        reuse = {}
+        for indicator, fp in fps.items():
+            unit = self._units.recall((indicator, fp))
+            if unit is not None:
+                reuse[indicator] = unit
+        compiled = compile_program(
+            normalized,
+            CompilerOptions(
+                environment_trimming=self.config.environment_trimming
+            ),
+            reuse,
+        )
+        for indicator, unit in compiled.units.items():
+            if indicator not in reuse:
+                self._units.remember((indicator, fps[indicator]), unit)
+        for source, count in (
+            ("reused", len(reuse)),
+            ("compiled", len(compiled.units) - len(reuse)),
+        ):
+            if count:
+                self.metrics.counter(
+                    "serve.compile.units", source=source
+                ).inc(count)
+        return compiled
 
     def _entry_specs(self, entries) -> List[Tuple[EntrySpec, str]]:
         """Each entry's parsed spec and fingerprint, memoized by entry
@@ -352,8 +389,8 @@ class AnalysisService:
         Returns ``(response, live_result, prepared)``; ``live_result``
         is the in-process :class:`AnalysisResult` when the fixpoint
         actually ran (or when ``need_live`` forces a run on a
-        full-result hit — fully seeded, so one sweep confirms it),
-        else None; ``prepared`` is the
+        full-result hit — fully seeded, so the trusted summaries answer
+        it), else None; ``prepared`` is the
         :class:`Prepared` program that was analyzed.
         """
         text = self._load_text(request)
@@ -370,6 +407,8 @@ class AnalysisService:
             config_fp, [fp for _, fp in keyed], [merkle[i] for i in reachable]
         )
         scc_keys = [f"scc:{merkle[i]}:{config_fp}" for i in reachable]
+        # A malformed budget is refused whatever the cache holds.
+        budget = self._budget_for(request)
         # ---- full-result hit: no fixpoint, no seeds decoded -----------
         cached = None if need_live else self.store.get(f"result:{request_fp}")
         if cached is not None:
@@ -429,7 +468,6 @@ class AnalysisService:
         if resume is not None:
             self.metrics.counter("resume.attempts").inc()
         # ---- checkpoint policy ----------------------------------------
-        budget = self._budget_for(request)
         policy = None
         if self.config.checkpoint_every is not None or self.kill_at_iteration:
             kill_at = self.kill_at_iteration
@@ -530,8 +568,9 @@ class AnalysisService:
         verifier, source rules), which is cheap and runs fresh every time.
 
         The rule engine needs a live :class:`AnalysisResult`, so a
-        full-result cache hit still runs the fixpoint, fully seeded:
-        one confirming sweep."""
+        full-result cache hit still runs the fixpoint, fully seeded: the
+        entry's trusted summary answers it, and the sweep runs nothing
+        but its ``halt``."""
         from ..lint import assemble_report
 
         analysis, result, prepared = self._analyze_core(

@@ -92,9 +92,15 @@ class CompiledProgram:
 def compile_program(
     program: Program,
     options: Optional[CompilerOptions] = None,
+    reuse: Optional[Dict[Indicator, PredicateCode]] = None,
 ) -> CompiledProgram:
     """Compile and link every predicate of ``program``, after rewriting
-    ``;``, ``->`` and ``\\+`` (:func:`normalize_program`)."""
+    ``;``, ``->`` and ``\\+`` (:func:`normalize_program`).
+
+    ``reuse`` holds unlinked code compiled earlier, with the same
+    ``options``, for predicates whose normalized clauses are unchanged
+    (up to variable renaming); those are linked without compiling them
+    again.  Linking never changes a unit, so units may be shared."""
     if options is None:
         options = CompilerOptions()
     program = normalize_program(program)
@@ -112,7 +118,10 @@ def compile_program(
                 f"cannot redefine builtin {predicate.indicator[0]}/"
                 f"{predicate.indicator[1]}"
             )
-        units.append(compile_predicate(predicate, options))
+        unit = reuse.get(predicate.indicator) if reuse else None
+        units.append(
+            unit if unit is not None else compile_predicate(predicate, options)
+        )
     code.link(units)
     for unit in units:
         compiled.units[unit.indicator] = unit

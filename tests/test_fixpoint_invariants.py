@@ -5,11 +5,16 @@ programs (``repro.fuzz.grammar.generate_program``, seeds 0-39):
 * every ``updateET`` that changes an entry only grows it;
 * the result is a post-fixpoint: planted back as seeds, its own entries
   take exactly one sweep, change nothing and give the same result;
-* a seeded run runs every planted entry it keeps at least once, so a
-  seed is confirmed, never trusted.
+* a seeded run runs every planted entry without read edges that it keeps
+  at least once, so such a seed is confirmed, never trusted;
+* planted back with their read edges, the result's entries are trusted:
+  no clause runs and the result is the same; a seed whose read closure
+  reaches a missing entry runs once instead.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -133,3 +138,74 @@ def test_seeds_below_the_fixpoint_run_and_rise(name, text, entries, checked):
         for indicator, entry in low.table.all_entries()
     }
     assert kept & planted <= RunRecordingMachine.ran
+
+
+def _seeds_with_reads(result):
+    return [
+        (indicator, entry.calling, entry.success, entry.may_share,
+         frozenset(entry.reads))
+        for indicator, entry in result.table.all_entries()
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,text,entries", ALL_CASES, ids=[case[0] for case in ALL_CASES]
+)
+def test_result_planted_with_reads_runs_no_clause(name, text, entries, checked):
+    cold = Analyzer(text).analyze(entries)
+    seeds = _seeds_with_reads(cold)
+    RunRecordingMachine.ran = set()
+    again = Analyzer(text).analyze(entries, seeds=seeds)
+    assert RunRecordingMachine.ran == set()
+    assert [report.trusted for report in again.entry_reports] == \
+        [len(seeds)] * len(entries)
+    assert again.instructions_executed <= len(entries)
+    assert again.stable_dict() == cold.stable_dict()
+
+
+class RunCountingMachine(RunRecordingMachine):
+    """A recording machine that also counts each entry's runs."""
+
+    runs = Counter()
+
+    def _enter_clause(self, frame):
+        if frame.clause_index == 0:
+            RunCountingMachine.runs[(frame.indicator, frame.calling)] += 1
+        super()._enter_clause(frame)
+
+
+@pytest.mark.parametrize(
+    "name,text,entries", ALL_CASES, ids=[case[0] for case in ALL_CASES]
+)
+def test_trusted_seed_with_a_missing_read_target_runs_once(
+    name, text, entries, checked, monkeypatch
+):
+    cold = Analyzer(text).analyze(entries)
+    seeds = _seeds_with_reads(cold)
+    # Leave out one entry that another entry read: every seed whose
+    # reads name it directly loses its trust and runs.
+    missing = next(
+        (read for seed in seeds for read in sorted(seed[4], key=str)
+         if read != seed[:2]),
+        None,
+    )
+    if missing is None:
+        pytest.skip("no entry reads another")
+    kept = [seed for seed in seeds if seed[:2] != missing]
+    readers = {seed[:2] for seed in kept if missing in seed[4]}
+    monkeypatch.setattr(driver, "AbstractMachine", RunCountingMachine)
+    RunCountingMachine.runs = Counter()
+    again = Analyzer(text).analyze(entries, seeds=kept)
+    assert again.stable_dict() == cold.stable_dict()
+    assert sum(report.trusted for report in again.entry_reports) < \
+        len(kept) * len(entries)
+    ran = RunCountingMachine.runs
+    reached = {
+        (indicator, entry.calling)
+        for indicator, entry in again.table.all_entries()
+    }
+    assert readers & reached
+    for key in readers & reached:
+        assert ran[key] >= 1, key
+    if len(entries) == 1:
+        assert all(count == 1 for key, count in ran.items() if key in readers)

@@ -58,6 +58,28 @@ def test_distinct_variable_structure_is_visible():
     assert clause_fingerprint(left) != clause_fingerprint(right)
 
 
+def test_anonymous_variable_is_visible():
+    # The compiler gives a named singleton a register and `_` none.
+    left = _clause("p(_, Y) :- q(Y, _).")
+    right = _clause("p(X, Y) :- q(Y, Z).")
+    assert clause_fingerprint(left) != clause_fingerprint(right)
+
+
+def test_anonymous_variable_edit_links_its_own_code():
+    from repro.wam.compile import compile_program
+    from repro.wam.listing import disassemble
+
+    service = AnalysisService(ServiceConfig())
+    service.handle({
+        "op": "analyze", "text": "p(_, Y) :- q(Y, _).\nq(a, b).\n",
+        "entries": ["p(var, var)"],
+    })
+    named = "p(X, Y) :- q(Y, Z).\nq(a, b).\n"
+    linked = service._prepare(named).compiled.code
+    scratch = compile_program(Program.from_text(named)).code
+    assert disassemble(linked) == disassemble(scratch)
+
+
 def test_atom_versus_variable_is_visible():
     assert clause_fingerprint(_clause("p(x).")) != clause_fingerprint(
         _clause("p(X).")

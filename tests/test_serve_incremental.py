@@ -12,6 +12,12 @@ types, aliasing, can-succeed, statuses).
 The budget variant: when the per-request budget trips mid-edit, the
 response is degraded, *nothing* enters the store, and the next
 healthy request still equals the from-scratch result.
+
+Chained structural edits check the trusted seeds: every summary a
+request stores carries its read edges, so the next edit's request
+answers clean components from the table without running them.  The
+same edits check compile reuse: code linked from the units of earlier
+requests lists exactly as a from-scratch compile.
 """
 
 import random
@@ -19,10 +25,13 @@ import random
 import pytest
 
 from repro.analysis.driver import Analyzer
-from repro.bench.programs import BY_NAME
-from repro.fuzz.mutate import Mutator, render_program
+from repro.bench.programs import BENCHMARKS, BY_NAME
+from repro.fuzz.grammar import generate_program
+from repro.fuzz.mutate import STRUCTURAL_OPS, Mutator, render_program
 from repro.prolog.program import Program
 from repro.serve import AnalysisService, ServiceConfig
+from repro.wam.compile import compile_program
+from repro.wam.listing import disassemble
 
 NREV = """
 nrev([], []).
@@ -57,8 +66,10 @@ def _random_edit(text: str, rng: random.Random) -> str:
     return edited
 
 
-def _scratch(text, entry):
-    return Analyzer(Program.from_text(text)).analyze([entry]).stable_dict()
+def _scratch(text, entry, subsumption=False):
+    return Analyzer(
+        Program.from_text(text), subsumption=subsumption
+    ).analyze([entry]).stable_dict()
 
 
 def test_render_round_trips():
@@ -142,3 +153,82 @@ def test_tripped_budget_never_contaminates_the_store(max_iterations):
     )
     assert healthy["status"] == "exact"
     assert healthy["result"] == _scratch(edited, entry)
+
+
+def _chain_cases():
+    cases = [(bench.name, bench.source, [bench.entry]) for bench in BENCHMARKS]
+    for seed in range(40):
+        program = generate_program(seed)
+        cases.append((f"fuzz_{seed}", program.source, list(program.entries)))
+    return cases
+
+
+def _chain(name, text, edits=5):
+    """The text and ``edits`` seeded structural edits, each of the one
+    before it."""
+    mutator = Mutator(random.Random(f"chain:{name}"), ops=STRUCTURAL_OPS)
+    texts = [text]
+    for _ in range(edits):
+        texts.append(mutator.mutate_text(texts[-1])[0])
+    return texts
+
+
+@pytest.mark.parametrize("subsumption", [False, True])
+def test_chained_structural_edits_equal_scratch(subsumption):
+    incremental = trusted = 0
+    for name, source, entries in _chain_cases():
+        service = AnalysisService(ServiceConfig(subsumption=subsumption))
+        for step, text in enumerate(_chain(name, source)):
+            for entry in entries:
+                response = service.handle(
+                    {"op": "analyze", "text": text, "entries": [entry]}
+                )
+                assert response["ok"], response.get("error")
+                assert response["result"] == _scratch(
+                    text, entry, subsumption
+                ), f"{name} edit {step} from {entry}"
+                if response["cache"]["outcome"] == "incremental":
+                    incremental += 1
+                    trusted += response["cache"]["schedule"]["seeds_trusted"]
+    assert incremental and trusted
+
+
+#: Two texts whose auxiliary predicates share names but not clauses.
+AUXILIARY_COLLISIONS = [
+    (
+        "p(X) :- (X = 1 ; X = 2).\n",
+        "p(X) :- (X = a ; X = b).\n",
+        "p(var)",
+    ),
+    (
+        "m :- p(X), q(Y).\np(X) :- (X = 1 ; X = 2).\n"
+        "q(X) :- (X = a ; X = b).\n",
+        "m :- p(X), q(Y).\nq(X) :- (X = a ; X = b).\n"
+        "p(X) :- (X = 1 ; X = 2).\n",
+        "m",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "first,second,entry", AUXILIARY_COLLISIONS, ids=["contents", "swapped"]
+)
+def test_auxiliary_predicates_are_fingerprinted(first, second, entry):
+    service = AnalysisService(ServiceConfig())
+    service.handle({"op": "analyze", "text": first, "entries": [entry]})
+    response = service.handle(
+        {"op": "analyze", "text": second, "entries": [entry]}
+    )
+    assert response["cache"]["outcome"] != "hit"
+    assert response["result"] == _scratch(second, entry)
+
+
+def test_code_linked_from_reused_units_lists_as_from_scratch():
+    service = AnalysisService(ServiceConfig())
+    for bench in BENCHMARKS:
+        for text in _chain(bench.name, bench.source):
+            linked = service._prepare(text).compiled.code
+            scratch = compile_program(Program.from_text(text)).code
+            assert disassemble(linked) == disassemble(scratch), bench.name
+    reused = service.metrics.snapshot()["serve.compile.units{source=reused}"]
+    assert reused["value"] > 0

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import repro.serve.service as service_module
+import repro.wam.compile.program as compile_module
 from repro.analysis.driver import Analyzer, parse_entry_spec
 from repro.analysis.patterns import Pattern
 from repro.bench.programs import BENCHMARKS
@@ -35,6 +36,8 @@ from repro.serve import (
     serve_loop,
 )
 from repro.serve.service import MEMO_ENTRIES
+
+from .test_golden import CASES as GOLDEN_CASES
 
 NREV = """
 nrev([], []).
@@ -484,6 +487,12 @@ def _prepared(service, source):
     ).get("value", 0)
 
 
+def _units(service, source):
+    return service.metrics.snapshot().get(
+        f"serve.compile.units{{source={source}}}", {}
+    ).get("value", 0)
+
+
 def test_repeated_request_parses_and_decodes_nothing(monkeypatch):
     service = _service()
     request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
@@ -501,24 +510,26 @@ def test_repeated_request_parses_and_decodes_nothing(monkeypatch):
 def test_comment_only_edit_hits_without_compiling(monkeypatch):
     service = _service()
     service.handle({"op": "analyze", "text": NREV, "entries": [ENTRY]})
-    compiles = _counting(monkeypatch, service_module, "compile_program")
+    compiles = _counting(monkeypatch, compile_module, "compile_predicate")
     edited = "% reversed, naively\n" + NREV.replace("RT", "Rev")
     response = service.handle(
         {"op": "analyze", "text": edited, "entries": [ENTRY]}
     )
+    assert compiles == []
+    assert _units(service, "compiled") == 2
+    assert _prepared(service, "program") == 1
     assert response["cache"]["outcome"] == HIT
     assert response["result"] == _scratch(NREV, [ENTRY])
-    assert compiles == []
-    assert _prepared(service, "program") == 1
 
 
 def test_invalidate_empties_every_memo():
     service = _service()
     request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
     service.handle(dict(request))
+    assert service._units
     service.handle({"op": "invalidate"})
     assert not service._by_text and not service._by_program
-    assert not service._specs
+    assert not service._units and not service._specs
     response = service.handle(dict(request))
     assert response["cache"]["outcome"] == MISS
     assert _prepared(service, "parse") == 2
@@ -697,3 +708,73 @@ def test_unterminated_hex_escape_is_answered(tmp_path):
     responses = [json.loads(line) for line in completed.stdout.splitlines()]
     assert [r["ok"] for r in responses] == [False, True, True]
     assert "unterminated quoted token" in responses[0]["error"]
+
+
+def test_malformed_budget_is_refused_on_a_hit_too():
+    # The budget is decoded before the result lookup, so the answer to
+    # a malformed one does not depend on what the cache holds.
+    request = {"op": "analyze", "text": "q(b).", "entries": ["q(var)"]}
+    for budget in (5, {"deadline": -1}):
+        cold, warm = _service(), _service()
+        assert warm.handle(dict(request))["ok"]
+        answers = [
+            service.handle(dict(request, budget=budget))
+            for service in (cold, warm)
+        ]
+        assert [answer["ok"] for answer in answers] == [False, False]
+        assert answers[0]["error"] == answers[1]["error"]
+        assert warm.handle(dict(request))["cache"]["outcome"] == HIT
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """The limit a fresh ``repro-serve`` process runs at; the solver
+    raises it process-wide, so an earlier test may have left it higher."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_recursion_depth_is_answered_and_the_loop_serves_on(
+    default_recursion_limit,
+):
+    # A cyclic term and a long list literal each exceed the recursion
+    # limit of some walk; the request fails, the next one is served.
+    long_list = "[" + ", ".join(["a"] * 2000) + "]"
+    requests = [
+        {"op": "analyze", "text": "p(X, Y) :- X = [Y|X], Y = f(X).",
+         "entries": ["p(var, var)"]},
+        {"op": "analyze", "text": f"p(X) :- X = {long_list}.",
+         "entries": ["p(var)"]},
+        {"op": "analyze", "text": "q(b).", "entries": ["q(var)"]},
+        {"op": "shutdown"},
+    ]
+    stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
+    stdout = io.StringIO()
+    assert serve_loop(_service(), stdin, stdout) == 0
+    responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    assert [r["ok"] for r in responses] == [False, False, True, True]
+    assert all("recursion" in r["error"] for r in responses[:2])
+    assert responses[2]["result"] == _scratch("q(b).", ["q(var)"])
+
+
+@pytest.mark.parametrize(
+    "name,text,entries", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES]
+)
+def test_lint_on_a_full_hit_runs_one_instruction_per_spec(name, text, entries):
+    cold = _service().handle({"op": "lint", "text": text, "entries": entries})
+    service = _service()
+    service.handle({"op": "analyze", "text": text, "entries": entries})
+
+    def instructions():
+        return service.metrics.snapshot().get(
+            "wam.instructions", {}
+        ).get("value", 0)
+
+    before = instructions()
+    warm = service.handle({"op": "lint", "text": text, "entries": entries})
+    assert warm["cache"]["outcome"] == HIT
+    assert warm["cache"]["schedule"]["seeds_trusted"] > 0
+    assert instructions() - before <= len(entries)
+    assert warm["lint"] == cold["lint"]
