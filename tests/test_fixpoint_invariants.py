@@ -205,7 +205,6 @@ def test_trusted_seed_with_a_missing_read_target_runs_once(
         for indicator, entry in again.table.all_entries()
     }
     assert readers & reached
+    # Each spec's table plants the seeds anew, so once per spec.
     for key in readers & reached:
-        assert ran[key] >= 1, key
-    if len(entries) == 1:
-        assert all(count == 1 for key, count in ran.items() if key in readers)
+        assert 1 <= ran[key] <= len(entries), key
