@@ -530,10 +530,18 @@ class AnalysisService:
         # ---- store (exact results only) -------------------------------
         if result.status == "exact":
             self.store.put(f"result:{request_fp}", stable)
+            # A component whose entries are all planted seeds, unchanged,
+            # is stored already, with the calling patterns this request
+            # did not reach as well: it is not stored again.
+            planted = set(seeds)
             dirty_sccs = {
                 owner
-                for indicator, _ in result.table.all_entries()
+                for indicator, entry in result.table.all_entries()
                 if (owner := graph.scc_of.get(indicator)) is not None
+                and (
+                    indicator, entry.calling, entry.success,
+                    entry.may_share, frozenset(entry.reads),
+                ) not in planted
             }
             for scc_index in dirty_sccs:
                 self.store.put(

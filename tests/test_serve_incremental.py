@@ -193,6 +193,45 @@ def test_chained_structural_edits_equal_scratch(subsumption):
     assert incremental and trusted
 
 
+APPEND_TWICE = """
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+a(X) :- app([1], [2], X).
+b(X, Y, Z) :- app(X, Y, Z).
+"""
+
+
+def test_an_adopted_component_keeps_its_unreached_patterns():
+    # Guards: a request that only adopts a component's summaries must not
+    # store them back, or the record loses the calling patterns this
+    # request did not reach and a later request runs them again.
+    service = AnalysisService(ServiceConfig())
+    service.handle({
+        "op": "analyze", "text": APPEND_TWICE,
+        "entries": ["a(var)", "b(var, var, var)"],
+    })
+    (app_key,) = [
+        key for key in list(service.store._data)
+        if key.startswith("scc:")
+        and service.store.get(key)["entries"][0]["predicate"] == "app/3"
+    ]
+    record = service.store.get(app_key)
+    edited = APPEND_TWICE + "a(z).\n"
+    adopted = service.handle(
+        {"op": "analyze", "text": edited, "entries": ["a(var)"]}
+    )
+    assert adopted["cache"]["schedule"]["seeds_dropped"] > 0
+    assert service.store.get(app_key) == record
+    edited += "b(z, z, z).\n"
+    later = service.handle(
+        {"op": "analyze", "text": edited, "entries": ["b(var, var, var)"]}
+    )
+    assert later["result"] == _scratch(edited, "b(var, var, var)")
+    assert later["cache"]["schedule"]["seeds_trusted"] == len(
+        record["entries"]
+    )
+
+
 #: Two texts whose auxiliary predicates share names but not clauses.
 AUXILIARY_COLLISIONS = [
     (
