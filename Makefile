@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-serve chaos fuzz load opt table1 table2 examples coverage lint serve clean
+.PHONY: install test bench bench-serve chaos fuzz opt table1 table2 examples coverage lint serve clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -21,9 +21,6 @@ chaos:
 
 fuzz:
 	$(PYTHON) -m repro.fuzz --seed 42 --count 200 --out BENCH_fuzz.json
-
-load:
-	$(PYTHON) -m repro.bench.load --out BENCH_load.json
 
 opt:
 	$(PYTHON) -m repro.bench.opt --out BENCH_opt.json --repeats 5

@@ -20,7 +20,7 @@ helpers here enforce that invariant.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..domain.lattice import (
     EMPTY_T,
@@ -145,21 +145,24 @@ def constant_tree(constant) -> Tree:
     raise AnalysisError(f"not a constant: {constant!r}")
 
 
-def cell_summary(heap: Heap, cell: Cell, _visiting: Optional[set] = None) -> AbsSort:
+def cell_summary(
+    heap: Heap, cell: Cell, _visiting: FrozenSet[int] = frozenset()
+) -> AbsSort:
     """The most precise simple sort containing the term rooted at ``cell``.
 
     Used by the depth restriction to summarize deep subterms, and by the
     abstract builtins for type tests.  Cyclic heap terms (created by
-    occurs-check-free unification) summarize to ``nv``.
+    occurs-check-free unification) summarize to ``nv``: ``_visiting``
+    holds the locations of the enclosing compounds, so the walk stops
+    where a compound meets itself, also through a slot that holds it
+    directly.
     """
-    if _visiting is None:
-        _visiting = set()
-    cell, address = deref(heap, cell)
-    if address is not None:
-        if address in _visiting:
-            return AbsSort.NV
-        _visiting = _visiting | {address}
+    cell, _ = deref(heap, cell)
     tag = cell[0]
+    if tag in (LIS, STR):
+        if cell[1] in _visiting:
+            return AbsSort.NV
+        _visiting = _visiting | {cell[1]}  # type: ignore[operator]
     if tag == REF:
         return AbsSort.VAR
     if tag == ABS:

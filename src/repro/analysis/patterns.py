@@ -170,20 +170,18 @@ def _survey_hidden_aliases(heap: Heap, cells) -> Set[int]:
 
     def walk(cell: Cell, inside: bool, path: FrozenSet[int]) -> None:
         cell, address = deref(heap, cell)
-        if address is None:
-            if cell[0] in (LIS, STR):
-                _walk_compound(cell, inside, path)
-            return
-        if address in path:
-            return
-        counts[address] = counts.get(address, 0) + 1
-        if cell[0] == REF and inside:
-            in_spine.add(address)
-        if (address, inside) in visited and counts[address] >= 2:
-            return
-        visited.add((address, inside))
-        if cell[0] in (LIS, STR):
-            _walk_compound(cell, inside, path | {address})
+        if address is not None:
+            counts[address] = counts.get(address, 0) + 1
+            if cell[0] == REF and inside:
+                in_spine.add(address)
+            if (address, inside) in visited and counts[address] >= 2:
+                return
+            visited.add((address, inside))
+        # ``path`` holds the locations of the enclosing compounds, so a
+        # cyclic term stops where it meets itself, also through a slot
+        # that holds the compound directly and so has no address.
+        if cell[0] in (LIS, STR) and cell[1] not in path:
+            _walk_compound(cell, inside, path | {cell[1]})
 
     def _walk_compound(cell: Cell, inside: bool, path: FrozenSet[int]) -> None:
         if cell[0] == LIS:
@@ -605,12 +603,16 @@ def pattern_to_text(pattern: Pattern) -> str:
     return "(" + ", ".join(render(node) for node in pattern.args) + ")"
 
 
-def collect_share_points(heap: Heap, cell: Cell, into: Set[int]) -> None:
+def collect_share_points(
+    heap: Heap, cell: Cell, into: Set[int], seen: Optional[Set[int]] = None
+) -> None:
     """Addresses of possibly-unbound cells reachable from ``cell``.
 
     Ground cells are excluded — sharing a ground subterm cannot transmit
     bindings.  Summarized lists with non-ground elements count as one
     share point (their elements are not individually addressable).
+    ``seen`` holds the locations of the compounds already walked, so a
+    shared or cyclic subterm is walked once.
     """
     cell, address = deref(heap, cell)
     tag = cell[0]
@@ -628,10 +630,13 @@ def collect_share_points(heap: Heap, cell: Cell, into: Set[int]) -> None:
         return
     if tag == CON:
         return
-    if address is not None and address in into:
-        return  # already visited through another path
+    if seen is None:
+        seen = set()
+    elif cell[1] in seen:
+        return
+    seen.add(cell[1])  # type: ignore[arg-type]
     for child in struct_args(heap, cell):
-        collect_share_points(heap, child, into)
+        collect_share_points(heap, child, into, seen)
 
 
 def cell_share_pairs(heap: Heap, cells) -> FrozenSet[Tuple[int, int]]:

@@ -587,7 +587,7 @@ def _analysis_attempt(
             config="bench.chaos",
             key=benchmark.name,
             entries=[benchmark.entry],
-            base_iterations=ckpt.cursor_iterations(resume) if resume else 0,
+            resume=resume,
             on_pass=on_pass,
         )
     result = Analyzer(Program.from_text(benchmark.source)).analyze(

@@ -68,14 +68,19 @@ from .wam.machine import Machine
 
 
 def _guard(command: Callable[[argparse.Namespace], int], prog: str):
-    """Run a command body; library and I/O failures become exit code 2
-    with a one-line message instead of a traceback."""
+    """Run a command body; library and I/O failures, and a term nested
+    deeper than a recursive walk can follow, become exit code 2 with a
+    one-line message instead of a traceback."""
 
     def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             return command(argv)
         except (ReproError, OSError) as error:
             print(f"{prog}: error: {error}", file=sys.stderr)
+            return 2
+        except RecursionError as error:
+            print(f"{prog}: error: too deep to analyze: {error}",
+                  file=sys.stderr)
             return 2
 
     return main
@@ -260,11 +265,7 @@ def _checkpoint_setup(
             config=config_fp,
             key=key,
             entries=entries,
-            base_iterations=ckpt.cursor_iterations(resume_data),
-            attempts=(
-                resume_data["cursor"].get("attempts", 0) + 1
-                if resume_data else 1
-            ),
+            resume=resume_data,
         )
     return policy, resume_data
 
@@ -1024,7 +1025,8 @@ def _fuzz_command(argv: Optional[Sequence[str]] = None) -> int:
 
 
 #: The console-script entry points: the command bodies above, wrapped so
-#: any ReproError or I/O error exits 2 with a one-line message.
+#: any ReproError, I/O error or RecursionError exits 2 with a one-line
+#: message.
 main_analyze = _guard(_analyze_command, "repro-analyze")
 main_lint = _guard(_lint_command, "repro-lint")
 main_optimize = _guard(_optimize_command, "repro-optimize")

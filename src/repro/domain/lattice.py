@@ -286,7 +286,10 @@ def tree_unify(a: Tree, b: Tree) -> Optional[Tree]:
 
     Differs from :func:`tree_glb` exactly where variables occur: a free
     variable unifies with anything and takes its value, so ``var`` and the
-    variable part of ``any`` absorb the other operand.
+    variable part of ``any`` absorb the other operand.  The other way
+    round, a term of ``any`` or ``nv`` may bind the variables of a list
+    or structure it meets (``[a]`` unifies with ``[X]``), so that side's
+    ``var`` leaves become ``any``.
     """
     result = _unify(a, b)
     if result is None or tree_is_empty(result):
@@ -301,21 +304,33 @@ def _unify_or_empty(a: Tree, b: Tree) -> Tree:
     return EMPTY_T if result is None else result
 
 
+def _vars_bindable(tree: Tree) -> Tree:
+    """``tree`` with its ``var`` leaves widened to ``any``."""
+    kind = tree[0]
+    if kind == "s":
+        return ANY_T if tree == VAR_T else tree
+    if kind == "l":
+        return ("l", _vars_bindable(tree[1]))
+    return ("f", tree[1], tree[2], tuple(map(_vars_bindable, tree[3])))
+
+
 def _unify(a: Tree, b: Tree) -> Optional[Tree]:
     if a == VAR_T:
         return b
     if b == VAR_T:
         return a
     if a == ANY_T:
-        return b
+        return _vars_bindable(b)
     if b == ANY_T:
-        return a
+        return _vars_bindable(a)
     a_kind, b_kind = a[0], b[0]
     if a_kind == "s" and b_kind == "s":
         result = sort_glb(a[1], b[1])
         return None if result == AbsSort.EMPTY else ("s", result)
     if a_kind == "s" or b_kind == "s":
         simple, other = (a, b) if a_kind == "s" else (b, a)
+        if simple[1] == AbsSort.NV:
+            return _vars_bindable(other)
         met = _meet_simple_with_structured(simple[1], other, _unify_or_empty)
         return None if tree_is_empty(met) and met[0] != "l" else met
     if a_kind == "l" and b_kind == "l":

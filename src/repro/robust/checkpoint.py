@@ -154,11 +154,15 @@ def cursor_iterations(data) -> int:
     """The cumulative fixpoint-pass count recorded in a snapshot (0 for
     anything malformed) — the forward-progress cursor the supervisor's
     crash-loop containment watches."""
+    return _cursor_count(data, "iterations")
+
+
+def _cursor_count(data, field: str) -> int:
     if isinstance(data, dict):
         cursor = data.get("cursor")
         if isinstance(cursor, dict):
             try:
-                return int(cursor.get("iterations", 0))
+                return int(cursor.get(field, 0))
             except (TypeError, ValueError):
                 return 0
     return 0
@@ -199,7 +203,8 @@ class CheckpointPolicy:
     the thing that breaks an analysis.  ``on_pass`` is an extra
     per-pass hook (the chaos harness arms its kill-at-iteration site
     there, *after* the emit decision, so an injected kill always lands
-    on a checkpointed pass boundary).
+    on a checkpointed pass boundary).  ``resume`` is the snapshot this
+    run resumes, if any: the policy continues its cursor.
     """
 
     def __init__(
@@ -211,8 +216,7 @@ class CheckpointPolicy:
         config: str = "",
         key: str = "",
         entries: Iterable = (),
-        base_iterations: int = 0,
-        attempts: int = 1,
+        resume: Optional[dict] = None,
         metrics=None,
         on_pass: Optional[Callable[[int], None]] = None,
     ):
@@ -226,9 +230,10 @@ class CheckpointPolicy:
         self.entries = tuple(str(entry) for entry in entries)
         #: Cursor base: iterations already banked by prior attempts
         #: (from the resumed checkpoint), so emitted cursors are
-        #: cumulative across the whole retry chain.
-        self.base_iterations = base_iterations
-        self.attempts = attempts
+        #: cumulative across the whole retry chain; this run is the
+        #: attempt after the resumed snapshot's.
+        self.base_iterations = cursor_iterations(resume)
+        self.attempts = _cursor_count(resume, "attempts") + 1
         self.metrics = metrics
         self.on_pass = on_pass
         self.passes = 0

@@ -55,9 +55,11 @@ UNDEFINED_PREDICATE = "undefined"
 #: Version of the analysis engine whose answers a store holds.  Every
 #: stored result is keyed under it through :func:`config_fingerprint`,
 #: so a ``DiskStore`` written by an older engine answers a newer one
-#: with a cold miss, never with the older answer.  Bump it whenever the
-#: result goldens under ``tests/golden/`` are regenerated.
-ENGINE_VERSION = 1
+#: with a cold miss, never with the older answer.  Bump it whenever an
+#: engine change can move a result, whether or not the result goldens
+#: under ``tests/golden/`` moved (2: abstract unification with ``any``
+#: or ``nv`` widens the other side's ``var`` leaves).
+ENGINE_VERSION = 2
 
 
 def _hash(parts: Iterable[str]) -> str:

@@ -464,7 +464,6 @@ class AnalysisService:
                 > ckpt.cursor_iterations(resume)
             ):
                 resume = loaded
-        resume_base = ckpt.cursor_iterations(resume) if resume else 0
         if resume is not None:
             self.metrics.counter("resume.attempts").inc()
         # ---- checkpoint policy ----------------------------------------
@@ -498,10 +497,7 @@ class AnalysisService:
                 config=config_fp,
                 key=request_fp,
                 entries=specs,
-                base_iterations=resume_base,
-                attempts=(
-                    resume["cursor"].get("attempts", 0) + 1 if resume else 1
-                ),
+                resume=resume,
                 metrics=self.metrics,
                 on_pass=on_pass if kill_at is not None else None,
             )

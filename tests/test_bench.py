@@ -222,47 +222,3 @@ class TestServeBenchEmit:
         changed = {ind for ind in base if base[ind] != after.get(ind)}
         assert len(changed) == 1
 
-
-class TestLoadBench:
-    """The gateway load benchmark (scaled down for CI)."""
-
-    def test_load_bench_redirects_artifact_and_reports_shed(
-        self, tmp_path, capsys
-    ):
-        from repro.bench.load import main
-
-        # --out MUST be redirected to tmp_path: the default writes
-        # BENCH_load.json into the cwd, clobbering the checked-in
-        # full-scale artifact with a smoke-sized run.
-        out = tmp_path / "BENCH_load.json"
-        assert main([
-            "--out", str(out),
-            "--requests", "40",
-            "--overload-requests", "80",
-            "--connections", "4",
-            "--queue-depth", "4",
-            "--steady-concurrency", "4",
-            "--overload-concurrency", "48",
-        ]) == 0
-        capsys.readouterr()
-        document = json.loads(out.read_text())
-        assert document["suite"] == "repro.bench.load"
-        # Every request was answered: shed is fine, silence is not.
-        assert document["unserved"] == 0
-        assert document["unstructured_errors"] == 0
-        # The overload phase actually overloaded.
-        assert document["phases"]["overload"]["shed"] > 0
-        # The backoff phase's well-behaved client actually honored
-        # queue-full retry_after_ms hints (a zero hint — cold shard
-        # EWMA — is retried immediately and not counted as honored).
-        backoff = document["phases"]["backoff"]
-        assert 0 < backoff["retry_after_honored"] <= backoff["retries"]
-        for phase in ("warmup", "steady", "overload", "backoff"):
-            latency = document["phases"][phase]["latency"]
-            for key in ("p50_ms", "p95_ms", "p99_ms"):
-                assert latency[key] >= 0.0
-        assert document["phases"]["overload"][
-            "saturation_throughput_rps"] > 0
-        assert out.read_text() == json.dumps(
-            document, indent=2, sort_keys=True
-        ) + "\n"

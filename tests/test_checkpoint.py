@@ -210,7 +210,7 @@ def test_policy_swallows_sink_failures():
 def test_policy_cursor_accumulates_across_attempts():
     table = _analyzed_table()
     policy = ckpt.CheckpointPolicy(
-        None, every=1, base_iterations=40, attempts=3
+        None, every=1, resume=ckpt.snapshot(table, iterations=40, attempts=2)
     )
     policy.note_pass(table)
     assert ckpt.cursor_iterations(policy.last) == 41
@@ -435,6 +435,19 @@ def test_kill_every_m_campaign_makes_monotone_progress():
     assert all(
         remaining[i + 1] <= remaining[i] for i in range(len(remaining) - 1)
     )
+
+
+def test_a_resumed_campaign_attempt_counts_the_attempts_before_it():
+    from repro.bench.chaos import _analysis_attempt
+    from repro.bench.programs import BY_NAME
+
+    benchmark = BY_NAME["serialise"]
+    first, second = [], []
+    _analysis_attempt(benchmark, sink=first.append)
+    _analysis_attempt(benchmark, resume=first[0], sink=second.append)
+    assert first[0]["cursor"]["attempts"] == 1
+    assert second[0]["cursor"]["attempts"] == 2
+    assert ckpt.cursor_iterations(second[0]) > ckpt.cursor_iterations(first[0])
 
 
 def test_scheduler_resume_plants_and_converges_identically():

@@ -1,6 +1,9 @@
 """Tests for the command line entry points."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +215,45 @@ class TestCliHardening:
         path.write_text("p(.\n")
         assert main_prolog([str(path), "p(X)"]) == 2
         assert "repro-prolog: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,prog", [
+        ("main_analyze", "repro-analyze"), ("main_lint", "repro-lint"),
+    ])
+    def test_too_deep_a_term_is_one_line(self, tmp_path, command, prog):
+        # In a fresh process: the solver raises the recursion limit for
+        # the whole process, so in this one the outcome would depend on
+        # which tests ran before.
+        path = tmp_path / "deep.pl"
+        path.write_text("p(" + "f(" * 3000 + "a" + ")" * 3000 + ").\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; from repro.cli import {command}; "
+             f"sys.exit({command}(sys.argv[1:]))",
+             str(path), "p(var)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.startswith(
+            f"{prog}: error: too deep to analyze:"
+        )
+        assert completed.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("text,entry", [
+        ("p(X, Y) :- X = [Y|X], Y = f(X).", "p(var, var)"),
+        # T's cell is the argument slot itself, so binding T stores the
+        # structure there: a cycle with no reference cell in it.
+        ("p(X) :- X = f(T), T = X.", "p(var)"),
+    ])
+    def test_cyclic_term_analyzes_exact(self, tmp_path, capsys, text, entry):
+        path = tmp_path / "cyclic.pl"
+        path.write_text(text + "\n")
+        assert main_analyze([str(path), entry, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "exact"
+        (types,) = [p["success_types"] for p in report["predicates"].values()]
+        assert "var" not in types
 
 
 class TestCliBudgets:

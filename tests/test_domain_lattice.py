@@ -211,12 +211,19 @@ class TestTreeUnify:
     def test_any_absorbs(self):
         assert tree_unify(ANY_T, FG) == FG
         assert tree_unify(GLIST, ANY_T) == GLIST
+        # ...and may bind the other side's variables.
+        assert tree_unify(ANY_T, make_list_tree(VLIST)) == make_list_tree(
+            make_list_tree(ANY_T)
+        )
 
     def test_nil_with_list(self):
         assert tree_unify(NIL_T, GLIST) == NIL_T
 
     def test_nv_with_list(self):
-        assert tree_unify(NV_T, VLIST) == VLIST
+        # [a] unifies with [X]: the list's variables may be bound.
+        assert tree_unify(NV_T, VLIST) == make_list_tree(ANY_T)
+        assert tree_unify(FVAR, NV_T) == FANY
+        assert tree_glb(NV_T, VLIST) == VLIST
 
     def test_const_with_list_is_nil(self):
         assert tree_unify(CONST_T, GLIST) == NIL_T

@@ -3,7 +3,7 @@
 import itertools
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.analysis.aheap import ABS, cell_summary, deref, make_abs, slot_cell
 from repro.analysis.patterns import (
@@ -368,6 +368,11 @@ def reference_abstract_cells(heap, cells, depth, list_aware):
     st.lists(plans(), min_size=1, max_size=4),
     st.integers(min_value=1, max_value=4),
     st.booleans(),
+)
+# B = [[V|B]]: the inner list is stored in the outer one's slot, with no
+# address of its own, and its spine runs on through B back to itself.
+@example(
+    [("bind", ("list", [("list", [("var",)], ("shared", 0))], None))], 4, True
 )
 def test_one_walk_abstraction_matches_the_three_walk_reference(
     argument_plans, depth, list_aware

@@ -12,7 +12,7 @@ The central safety arguments of the analysis:
 """
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.analysis.aheap import make_abs
 from repro.analysis.aunify import s_unify
@@ -110,6 +110,10 @@ def test_abstract_unify_over_approximates_linear(raw_left, raw_right):
 
 @settings(max_examples=300)
 @given(terms(var_names=("X", "Y")), terms(var_names=("U", "V")))
+@example(
+    raw_left=make_list([Struct(".", (Atom("a"), Atom("[]"))), ("varname", "X")]),
+    raw_right=make_list([Struct(".", (("varname", "U"), Atom("[]"))), Atom("[]")]),
+)
 def test_cell_unify_over_approximates_with_sharing(raw_left, raw_right):
     # Repeated variables WITHIN each term are allowed here: the pattern /
     # cell layer preserves sharing, so abstract unification of the

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.analysis.driver import Analyzer
+from repro.bench.load import _Client
 from repro.prolog.program import Program
 from repro.serve import (
     ConsistentHashRing,
@@ -267,6 +268,199 @@ def test_queue_full_requests_are_shed_not_queued():
             assert len(set(shed) | set(served)) == 6
         finally:
             writer.close()
+            await gateway.stop()
+
+    asyncio.run(scenario())
+
+
+class _GatedService(_BlockingBackend):
+    """An in-process service that holds each request until released."""
+
+    def __init__(self):
+        super().__init__()
+        self.service = AnalysisService(ServiceConfig())
+
+    def handle(self, request):
+        super().handle(request)
+        return self.service.handle(request)
+
+
+def _gated_gateway(config, open_shards=()):
+    """A gateway over gated in-process services, and its backends by
+    shard id; each is spawned at its shard's first request, released
+    for good when its shard is in ``open_shards``."""
+    backends = {}
+
+    def factory(shard_id):
+        backends[shard_id] = backend = _GatedService()
+        if shard_id in open_shards:
+            backend.release.set()
+        return backend
+
+    return Gateway(config, backend_factory=factory), backends
+
+
+def _nrev_on_shard(gateway, shard_id):
+    """NREV, with a comment that routes it to ``shard_id``."""
+    for salt in range(1000):
+        text = f"{NREV}% {salt}\n"
+        if gateway.ring.route(route_key({"text": text})) == shard_id:
+            return text
+    raise AssertionError(f"no comment routes NREV to shard {shard_id}")
+
+
+def _analyze_nrev(text):
+    return {"op": "analyze", "text": text, "entries": ["nrev(glist, var)"]}
+
+
+async def _saturate_shard_0(gateway, backends, client, text, timeout=10.0):
+    """Serve one request on shard 0, which gives it a latency estimate,
+    then hold one in its gated backend and one in its queue, one deep;
+    returns the tasks of the two held."""
+    served = asyncio.ensure_future(client.request(_analyze_nrev(text)))
+    backend = await _wait_for_pickup(backends)
+    backend.release.set()
+    assert (await served)["ok"]
+    backend.release.clear()
+    held = [asyncio.ensure_future(client.request(_analyze_nrev(text)))]
+    await _wait_for_pickup(backends, count=2)
+    held.append(asyncio.ensure_future(client.request(_analyze_nrev(text))))
+    deadline = time.monotonic() + timeout
+    while gateway.shards[0].depth() < 1:
+        assert time.monotonic() < deadline, "request never queued"
+        await asyncio.sleep(0.01)
+    return held
+
+
+def test_burst_gets_one_answer_per_request_and_sheds_without_waiting():
+    # Shedding never waits on the backend, so under overload a refused
+    # request costs a round trip, not a queue wait: that is what keeps
+    # the gateway's tail latency bounded.
+    async def scenario():
+        # degrade_depth=queue_depth: no admitted request is degraded.
+        gateway, backends = _gated_gateway(GatewayConfig(
+            shards=2, workers=0, queue_depth=2, degrade_depth=2,
+        ))
+        host, port = await gateway.start()
+        clients = [await _Client.connect(host, port) for _ in range(3)]
+        texts = [_nrev_on_shard(gateway, shard_id) for shard_id in (0, 1)]
+        try:
+            # Occupy each shard's backend, then burst: per shard two
+            # requests fill the queue and seven are shed.
+            sent = []  # (client number, task)
+            for shard_id, text in enumerate(texts):
+                sent.append((0, asyncio.ensure_future(
+                    clients[0].request(_analyze_nrev(text))
+                )))
+                await _wait_for_pickup(backends, shard_id=shard_id)
+            burst = []
+            for index in range(6):
+                for number, client in enumerate(clients):
+                    task = asyncio.ensure_future(client.request({
+                        "op": ("analyze", "lint")[index // 2 % 2],
+                        "text": texts[index % 2],
+                        "entries": ["nrev(glist, var)"],
+                    }))
+                    burst.append(task)
+                    sent.append((number, task))
+            deadline = time.monotonic() + 10.0
+            while sum(task.done() for task in burst) < 14:
+                assert time.monotonic() < deadline, "sheds never arrived"
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.1)  # nothing else comes back meanwhile
+            assert not any(b.release.is_set() for b in backends.values())
+            shed = [task.result() for task in burst if task.done()]
+            assert sorted(r["shard"] for r in shed) == [0] * 7 + [1] * 7
+            for response in shed:
+                assert response["ok"] is False
+                assert response["error_kind"] == "shed"
+                assert response["reason"] == "queue-full"
+                assert response["retriable"] is True
+            for backend in backends.values():
+                backend.release.set()
+            answers = await asyncio.gather(*(task for _, task in sent))
+            assert None not in answers
+            served = [r for r in answers if not r.get("shed")]
+            assert len(served) == 6 and all(r["ok"] for r in served)
+            scratch = _scratch(NREV, "nrev(glist, var)")
+            for response in served:
+                if response["op"] == "analyze":
+                    assert response["result"] == scratch
+            # One answer per request: each client's ids came back once.
+            for number in range(len(clients)):
+                ids = sorted(
+                    task.result()["id"] for owner, task in sent
+                    if owner == number
+                )
+                assert ids == list(range(1, len(ids) + 1))
+            assert gateway.requests_served == len(sent)
+        finally:
+            for backend in backends.values():
+                backend.release.set()
+            for client in clients:
+                await client.close()
+            await gateway.stop()
+
+    asyncio.run(scenario())
+
+
+def test_queue_full_shed_hints_a_wait_after_which_a_retry_is_served():
+    async def scenario():
+        gateway, backends = _gated_gateway(
+            GatewayConfig(shards=1, workers=0, queue_depth=1)
+        )
+        host, port = await gateway.start()
+        client = await _Client.connect(host, port)
+        try:
+            held = await _saturate_shard_0(gateway, backends, client, NREV)
+            shed = await client.request(_analyze_nrev(NREV))
+            assert shed["reason"] == "queue-full"
+            assert shed["retriable"] is True
+            # The hint: the queue ahead times the served request's latency.
+            assert shed["retry_after_ms"] > 0
+            backends[0].release.set()
+            await asyncio.sleep(shed["retry_after_ms"] / 1000.0)
+            # The backlog the hint estimated has drained (awaited, so
+            # the test does not race the dispatch thread).
+            assert all(r["ok"] for r in await asyncio.gather(*held))
+            retried = await client.request(_analyze_nrev(NREV))
+            assert retried["ok"], retried
+            assert retried["result"] == _scratch(NREV, "nrev(glist, var)")
+        finally:
+            for backend in backends.values():
+                backend.release.set()
+            await client.close()
+            await gateway.stop()
+
+    asyncio.run(scenario())
+
+
+def test_invalidate_reports_the_shard_it_missed_and_a_retry_reaches_both():
+    async def scenario():
+        gateway, backends = _gated_gateway(
+            GatewayConfig(shards=2, workers=0, queue_depth=1),
+            open_shards={1},
+        )
+        host, port = await gateway.start()
+        client = await _Client.connect(host, port)
+        text = _nrev_on_shard(gateway, 0)
+        try:
+            held = await _saturate_shard_0(gateway, backends, client, text)
+            partial = await client.request({"op": "invalidate"})
+            assert partial["ok"] is False
+            assert partial["error_kind"] == "partial-fanout"
+            assert partial["retriable"] is True
+            assert partial["shards_reached"] == 1
+            assert partial["retry_after_ms"] > 0
+            backends[0].release.set()
+            assert all(r["ok"] for r in await asyncio.gather(*held))
+            retried = await client.request({"op": "invalidate"})
+            assert retried["ok"] is True
+            assert retried["shards_reached"] == 2
+        finally:
+            for backend in backends.values():
+                backend.release.set()
+            await client.close()
             await gateway.stop()
 
     asyncio.run(scenario())

@@ -739,8 +739,8 @@ def default_recursion_limit():
 def test_recursion_depth_is_answered_and_the_loop_serves_on(
     default_recursion_limit,
 ):
-    # A cyclic term and a long list literal each exceed the recursion
-    # limit of some walk; the request fails, the next one is served.
+    # A long list literal exceeds the recursion limit of some walk; the
+    # request fails, the next one is served.  A cyclic term is analyzed.
     long_list = "[" + ", ".join(["a"] * 2000) + "]"
     requests = [
         {"op": "analyze", "text": "p(X, Y) :- X = [Y|X], Y = f(X).",
@@ -754,8 +754,11 @@ def test_recursion_depth_is_answered_and_the_loop_serves_on(
     stdout = io.StringIO()
     assert serve_loop(_service(), stdin, stdout) == 0
     responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
-    assert [r["ok"] for r in responses] == [False, False, True, True]
-    assert all("recursion" in r["error"] for r in responses[:2])
+    assert [r["ok"] for r in responses] == [True, False, True, True]
+    assert responses[0]["status"] == "exact"
+    cyclic = responses[0]["result"]["predicates"]["p/2"]
+    assert "var" not in cyclic["success_types"]
+    assert "recursion" in responses[1]["error"]
     assert responses[2]["result"] == _scratch("q(b).", ["q(var)"])
 
 
